@@ -4,6 +4,8 @@ Everything works on plain Python ints, so magnitudes are unbounded and
 nothing here can overflow.  All functions are pure.
 """
 
+import array
+import functools
 import math
 import random
 
@@ -11,6 +13,8 @@ __all__ = [
     "isqrt",
     "ceil_sqrt",
     "is_perfect_square",
+    "nonsquare_classes",
+    "sieve_progression",
     "mod_inv",
     "legendre",
     "is_prime",
@@ -35,6 +39,7 @@ def ceil_sqrt(x: int) -> int:
     return r if r * r == x else r + 1
 
 
+@functools.lru_cache(maxsize=256)
 def _square_residues(modulus: int) -> bytes:
     table = bytearray(modulus)
     for r in range(modulus):
@@ -49,6 +54,7 @@ _SQ64 = _square_residues(64)
 _SQ63 = _square_residues(63)
 _SQ65 = _square_residues(65)
 _SQ11 = _square_residues(11)
+_SCREENS = (64, 63, 65, 11)  # the moduli above, as nonsquare_classes' default
 
 
 def is_perfect_square(x: int) -> int | None:
@@ -65,6 +71,91 @@ def is_perfect_square(x: int) -> int | None:
         return None
     r = math.isqrt(x)
     return r if r * r == x else None
+
+
+@functools.lru_cache(maxsize=8192)
+def _nonsquare_residues(q: int, N: int, step: int, offset: int) -> tuple[int, array.array]:
+    table = _square_residues(q)
+    period = q // math.gcd(q, step)
+    residues = (u for u in range(period) if not table[((step * u + offset) ** 2 - N) % q])
+    return period, array.array("I", residues)
+
+
+def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
+    """Kill classes of the u whose (step*u + offset)^2 - N is no square mod q.
+
+    One class (period, residues) per modulus q: u is in it when u mod
+    period, with period = q / gcd(q, step), is one of the residues.  A
+    square is a square modulo every q, so no class holds a u whose
+    discriminant is a perfect square; when q divides N every discriminant
+    is a square mod q and the class is empty.  The default moduli are
+    is_perfect_square's own screens, so a u they drop is one it would
+    reject before its exact root.  Classes are cached by (q, N mod q,
+    step mod q, offset mod q), on which alone they depend, with the
+    residues packed in an unsigned-int array.
+    """
+    return [_nonsquare_residues(q, N % q, step % q, offset % q) for q in moduli]
+
+
+#: A block costs one slice assignment per sliced residue plus a byte write
+#: per killed u; below a few thousand u the slices dominate, so a smaller
+#: first block would not make a scan that hits at once cheaper.  Blocks
+#: then double up to the cap, which bounds the memory of a long scan.
+_BLOCK_FIRST = 1 << 12
+_BLOCK_CAP = 1 << 16
+
+
+def sieve_progression(start: int, stop: int, kills=()):
+    """Yield every u in [start, stop), ascending, outside all kill classes.
+
+    kills holds pairs (q, residues) with q >= 1: u is dropped when
+    u = r (mod q) for one of the residues r.  The range is sieved in
+    bytearray blocks; a class is cleared from a block by one slice
+    assignment per residue and the survivors are found with
+    bytearray.find, so the per-u work runs in C.  Classes are sliced in
+    order of the share of u they drop, as long as a class has no more
+    residues than the first block is expected to keep; past that point
+    testing each survivor is cheaper, and the remaining classes are
+    tested that way.
+    """
+    kills = [(q, residues) for q, residues in kills if len(residues)]
+    if any(q < 1 for q, _ in kills):
+        raise ValueError("kill class modulus must be >= 1")
+    if not kills:
+        yield from range(start, stop)  # nothing to sieve: skip the blocks
+        return
+    kills.sort(key=lambda k: len(k[1]) / k[0], reverse=True)
+    sliced, tested = [], []
+    kept = _BLOCK_FIRST
+    for q, residues in kills:
+        if len(residues) <= kept:
+            sliced.append((q, residues))
+            kept = kept * (q - len(residues)) // q
+        else:
+            drop = bytearray(q)
+            for r in residues:
+                drop[r % q] = 1
+            tested.append((q, drop))
+    size = _BLOCK_FIRST
+    while start < stop:
+        length = min(size, stop - start)
+        block = bytearray(b"\x01") * length
+        for q, residues in sliced:
+            for r in residues:
+                i = (r - start) % q
+                if i < length:
+                    block[i::q] = bytearray((length - 1 - i) // q + 1)
+        i = block.find(1)
+        while i >= 0:
+            u = start + i
+            for q, drop in tested:
+                if drop[u % q]:
+                    break
+            else:
+                yield u
+            i = block.find(1, i + 1)
+        start += length
+        size = min(2 * size, _BLOCK_CAP)
 
 
 def mod_inv(a: int, p: int) -> int:

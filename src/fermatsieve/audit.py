@@ -345,12 +345,10 @@ def audit_claims(
 def _fermat_pair_or_status(t, search_budget):
     """(pair, status): the smallest-divisor factor pair found by the
     progression search, or None with a status string explaining why."""
-    cap = (arith.isqrt(t.value - 1) >> (t.index_n + 2)) - 1
-    hits = fermat_numbers.lucas_search(t, search_budget)
-    if hits:
-        g = hits[0].divisor
-        return (g, t.value // g), "composite"
-    if cap <= search_budget:
+    hit = next(fermat_numbers.lucas_divisors(t, search_budget), None)
+    if hit is not None:
+        return (hit.divisor, t.value // hit.divisor), "composite"
+    if fermat_numbers.divisor_cap(t) <= search_budget:
         return None, "prime"  # every progression member below sqrt(F_n) tested
     return None, "unknown"
 
@@ -401,7 +399,7 @@ def audit_fermat(
         acc = accs[ClaimId.L2]
         acc.instances += 1
         s = (g - 1) // t.divisor_step
-        cap = (arith.isqrt(t.value - 1) >> (t.index_n + 2)) - 1
+        cap = fermat_numbers.divisor_cap(t)
         if fermat_numbers.lucas_check(t, s).residue != 0 or s > cap:
             _record(
                 acc, idx, t.value, pair, s, None,
@@ -472,7 +470,7 @@ def _verify_fermat_violation(claim: ClaimId, v: Violation) -> bool:
         s, rem = divmod(a - 1, t.divisor_step)
         if rem:
             return True  # recorded failure: divisor off the progression
-        cap = (arith.isqrt(t.value - 1) >> (t.index_n + 2)) - 1
+        cap = fermat_numbers.divisor_cap(t)
         return fermat_numbers.lucas_check(t, s).residue != 0 or s > cap
     lam = fermat_numbers.lambda_of_pair(t, a, b)
     if lam != v.u:

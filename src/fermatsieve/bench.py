@@ -2,8 +2,8 @@
 
 Candidate counts are exact and deterministic; wall times are median-of-k
 on a monotonic clock and are reported, never asserted.  A candidate is
-whatever a strategy pays for: a trial divisor, a center reaching the
-perfect-square test, or a surviving sieve index reaching it.
+whatever a strategy pays for: a trial divisor, a center of the plain
+scan up to its hit, or a sieve index that survives the residue filters.
 """
 
 import enum
@@ -11,7 +11,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from . import arith, quadform
+from . import arith, fermat_generic, quadform
 
 __all__ = ["Strategy", "BenchRow", "run_bench"]
 
@@ -47,24 +47,6 @@ def _run_trial_division(t: quadform.QuadTarget):
     return count, None
 
 
-def _run_plain_fermat(t: quadform.QuadTarget):
-    # Mirrors fermat_generic.fermat_factor but counts examined centers.
-    N = t.N
-    c = arith.ceil_sqrt(N)
-    limit = (N + 9) // 6
-    square_root = arith.is_perfect_square
-    disc = c * c - N
-    count = 0
-    while c <= limit:
-        count += 1
-        d = square_root(disc)
-        if d is not None and c - d > 1:
-            return count, (c - d, c + d)
-        disc += 2 * c + 1
-        c += 1
-    return count, None
-
-
 def _run_quad_interval(t, filter_primes, use_heuristic_filters):
     count = 0
     for cand in quadform.iter_candidates(t, filter_primes, use_heuristic_filters):
@@ -79,7 +61,14 @@ def _runner(strategy: Strategy, t: quadform.QuadTarget):
     if strategy is Strategy.TRIAL_DIVISION:
         return lambda: _run_trial_division(t)
     if strategy is Strategy.PLAIN_FERMAT:
-        return lambda: _run_plain_fermat(t)
+
+        def plain_fermat():
+            # run_bench admits composite targets only, so the scan splits N;
+            # its candidates are the centers from ceil(sqrt(N)) up to the split
+            split = fermat_generic.fermat_factor(t.N)
+            return split.c - arith.ceil_sqrt(t.N) + 1, (split.a, split.b)
+
+        return plain_fermat
     if strategy is Strategy.QUAD_INTERVAL:
         return lambda: _run_quad_interval(t, (), False)
     primes = quadform.default_filter_primes(t)

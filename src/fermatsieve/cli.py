@@ -12,11 +12,10 @@ files are stable-key-ordered so identical runs produce identical bytes.
 """
 
 import argparse
-import csv
 import json
 import sys
 
-from . import __version__, arith, audit, bench, fermat_generic, fermat_numbers, quadform
+from . import __version__, arith, audit, fermat_generic, fermat_numbers, quadform
 
 EXIT_FOUND = 0
 EXIT_NEGATIVE = 1
@@ -303,6 +302,12 @@ def cmd_fermat(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # only this command needs bench, csv and statistics; importing them
+    # here keeps them out of every other command's start-up
+    import csv
+
+    from . import bench
+
     try:
         targets = [int(x) for x in args.targets.split(",") if x.strip()]
     except ValueError:

@@ -35,7 +35,8 @@ def fermat_factor(N: int, step_budget: int | None = None) -> SquareSplit | Verdi
     split; any split past that point would need a factor below 3, so an
     exhausted scan proves N prime.  When step_budget is given, at most
     that many centers are examined before giving up with
-    Verdict.BUDGET_EXHAUSTED.
+    Verdict.BUDGET_EXHAUSTED.  Centers whose discriminant the square
+    screens rule out are sieved away in blocks, never tested one by one.
     """
     if N < 9 or N % 2 == 0:
         raise ValueError("fermat_factor needs odd N >= 9")
@@ -46,12 +47,8 @@ def fermat_factor(N: int, step_budget: int | None = None) -> SquareSplit | Verdi
         exhausted: SquareSplit | Verdict = Verdict.BUDGET_EXHAUSTED
     else:
         exhausted = Verdict.PRIME
-    square_root = arith.is_perfect_square
-    disc = c * c - N
-    while c <= limit:
-        d = square_root(disc)
+    for c in arith.sieve_progression(c, limit + 1, arith.nonsquare_classes(N, 1, 0)):
+        d = arith.is_perfect_square(c * c - N)
         if d is not None and c - d > 1:
             return SquareSplit(c=c, d=d, a=c - d, b=c + d)
-        disc += 2 * c + 1
-        c += 1
     return exhausted

@@ -27,6 +27,8 @@ __all__ = [
     "LambdaSearchResult",
     "make_fermat",
     "lucas_check",
+    "divisor_cap",
+    "lucas_divisors",
     "lucas_search",
     "lambda_interval",
     "lambda_search",
@@ -111,24 +113,37 @@ def lucas_check(t: FermatTarget, s: int) -> LucasDivisorCandidate:
     return LucasDivisorCandidate(s=s, divisor=divisor, residue=residue)
 
 
-def lucas_search(t: FermatTarget, s_max: int) -> list[LucasDivisorCandidate]:
-    """All s in [1, s_max] whose progression member divides F_n, ascending.
+def divisor_cap(t: FermatTarget) -> int:
+    """Index of the last progression member 2^(n+2) s + 1 below sqrt(F_n).
 
-    s_max is capped at the index of the last member below sqrt(F_n);
-    a proper factor below the square root always sits under that cap, and
-    members above it mirror cofactors of ones below.
+    isqrt(F_n - 1) = 2^(2^(n-1)), so the cap (isqrt(F_n - 1) >> (n+2)) - 1
+    has the closed form 2^(2^(n-1) - n - 2) - 1, without F_n's square root.
     """
     if t.index_n < 4:
         raise ValueError("divisor-form search needs index >= 4")
-    cap = (arith.isqrt(t.value - 1) >> (t.index_n + 2)) - 1
+    return (1 << ((1 << (t.index_n - 1)) - t.index_n - 2)) - 1
+
+
+def lucas_divisors(t: FermatTarget, s_max: int):
+    """Yield, ascending and lazily, each s in [1, s_max] whose progression
+    member divides F_n.
+
+    s_max is capped at divisor_cap(t): a proper factor below the square
+    root always sits under that cap, and members above it mirror
+    cofactors of ones below.
+    """
+    cap = divisor_cap(t)
     exponent = _membership_exponent(t)
     step = t.divisor_step
-    hits = []
     for s in range(1, min(s_max, cap) + 1):
         divisor = step * s + 1
         if (pow(2, exponent, divisor) + s * s) % divisor == 0:
-            hits.append(LucasDivisorCandidate(s=s, divisor=divisor, residue=0))
-    return hits
+            yield LucasDivisorCandidate(s=s, divisor=divisor, residue=0)
+
+
+def lucas_search(t: FermatTarget, s_max: int) -> list[LucasDivisorCandidate]:
+    """All of lucas_divisors(t, s_max) as a list."""
+    return list(lucas_divisors(t, s_max))
 
 
 def lambda_interval(t: FermatTarget) -> tuple[int, int]:
@@ -165,22 +180,15 @@ def lambda_search(
         raise ValueError("center search needs index >= 5")
     lam_min, lam_sup = lambda_interval(t)
     stop = min(lam_sup, lam_min + lam_budget)
-    heuristic = tuple(p for p in primes_3mod4 if p % 4 == 3)
+    kills = [(4, (2,))] if mod4 else []
+    if mod3:
+        kills.append((3, (0, 2)))
+    kills += [(p, (0,)) for p in primes_3mod4 if p % 4 == 3]
     value = t.value
     step = t.center_step
     hits = []
     examined = 0
-    skipped = 0
-    for lam in range(lam_min, stop):
-        if mod4 and lam % 4 == 2:
-            skipped += 1
-            continue
-        if mod3 and lam % 3 != 1:
-            skipped += 1
-            continue
-        if heuristic and any(lam % p == 0 for p in heuristic):
-            skipped += 1
-            continue
+    for lam in arith.sieve_progression(lam_min, stop, kills):
         examined += 1
         center = step * lam + 1
         disc = center * center - value
@@ -191,6 +199,7 @@ def lambda_search(
             continue  # trivial split (1, F_n); certifies nothing
         assert (center - root) * (center + root) == value
         hits.append(LambdaCandidate(lam=lam, center=center, disc=disc, root=root))
+    skipped = len(range(lam_min, stop)) - examined
     return LambdaSearchResult(
         hits=hits, exhausted=stop < lam_sup, examined=examined, skipped=skipped
     )

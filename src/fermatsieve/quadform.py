@@ -187,40 +187,28 @@ def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
     return [p for p in arith.primes_up_to(bound) if p != 2 and t.N % p != 0]
 
 
-def _residue_masks(t: QuadTarget, filter_primes) -> list[tuple[int, bytes]]:
-    masks = []
-    for p in filter_primes:
-        mask = bytearray(p)
-        for r in admissible_residues_qr(t, p):
-            mask[r] = 1
-        masks.append((p, bytes(mask)))
-    return masks
+def _filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> list:
+    """Kill classes of the QR filters and, when asked, the heuristic skips
+    (u = 0 mod p for even n; 4u + 1 = 0, i.e. u = -4^-1 mod p, for odd n)."""
+    if any(p < 3 or p % 2 == 0 for p in filter_primes):
+        raise ValueError("filter primes must be odd")
+    kills = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, filter_primes)
+    if use_heuristic_filters:
+        skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
+        kills += [(p, (skip(p),)) for p in filter_primes if p % 4 == 3]
+    return kills
 
 
 def iter_candidates(t: QuadTarget, filter_primes=(), use_heuristic_filters: bool = False):
     """Yield a Candidate for every u in the interval that survives the filters.
 
-    Filter primes must be odd and must not divide N.  The heuristic skips
-    (u = 0 mod p for even n, 4u + 1 = 0 mod p for odd n, over the filter
-    primes p = 3 mod 4) are applied only when use_heuristic_filters is set.
+    Filter primes must be odd.  The heuristic skips (u = 0 mod p for even
+    n, 4u + 1 = 0 mod p for odd n, over the filter primes p = 3 mod 4)
+    are applied only when use_heuristic_filters is set.
     """
-    for p in filter_primes:
-        _check_filter_prime(t, p)
-    masks = _residue_masks(t, filter_primes)
-    heuristic = [p for p in filter_primes if p % 4 == 3] if use_heuristic_filters else []
-    odd_form = t.offset == 3
-    for u in u_range(t):
-        admissible = True
-        for p, mask in masks:
-            if not mask[u % p]:
-                admissible = False
-                break
-        if not admissible:
-            continue
-        if heuristic:
-            probe = 4 * u + 1 if odd_form else u
-            if any(probe % p == 0 for p in heuristic):
-                continue
+    span = u_range(t)
+    kills = _filter_kills(t, filter_primes, use_heuristic_filters)
+    for u in arith.sieve_progression(span.start, span.stop, kills):
         yield try_candidate(t, u)
 
 
@@ -232,11 +220,11 @@ def sieve_enumerate(
 ) -> list[FactorPair]:
     """Search the candidate interval for factor pairs of N.
 
-    N is first trial-divided by every filter prime: a caller-supplied
-    prime that divides N is itself the answer and the residue filters
-    would be undefined for it.  Otherwise u is scanned ascending, pruned
-    by the QR residue sets (and the heuristic skips when requested), and
-    each square discriminant is validated into a FactorPair.
+    u is scanned ascending, pruned by the QR residue classes of the filter
+    primes (and the heuristic skips when requested) and by the square
+    screens, and each square discriminant is validated into a FactorPair.
+    A filter prime that divides N prunes nothing: every discriminant is a
+    square modulo it.
 
     Returns the first pair found, or every pair ascending in u when
     want_all is set.  The factor gap d grows with u, so the first hit
@@ -245,23 +233,12 @@ def sieve_enumerate(
     that certifies N prime, with them on it certifies nothing (a true
     witness may have been skipped).
     """
-    for p in filter_primes:
-        if p == 2:
-            raise ValueError("filter primes must be odd")
-        if t.N % p == 0:
-            if p == t.N:
-                return []  # N is this prime itself
-            a, b = p, t.N // p
-            if a > b:
-                a, b = b, a
-            return [FactorPair(a=a, b=b, witness_u=derive_u(t, a, b), d=(b - a) // 2)]
-    if not filter_primes and not use_heuristic_filters and not want_all:
-        # nothing to prune and only the first hit wanted: same scan as the
-        # compositeness certificate, which has the tight loop
-        witness = compositeness_witness(t)
-        return [] if witness is None else [pair_from_candidate(t, witness)]
+    span = u_range(t)
+    kills = _filter_kills(t, filter_primes, use_heuristic_filters)
+    kills += arith.nonsquare_classes(t.N, CENTER_STEP, t.offset)
     found: list[FactorPair] = []
-    for cand in iter_candidates(t, filter_primes, use_heuristic_filters):
+    for u in arith.sieve_progression(span.start, span.stop, kills):
+        cand = try_candidate(t, u)
         if cand.root is None:
             continue
         found.append(pair_from_candidate(t, cand))
@@ -273,22 +250,17 @@ def sieve_enumerate(
 def compositeness_witness(t: QuadTarget) -> Candidate | None:
     """First u in the interval with a square discriminant, or None.
 
-    The scan is unfiltered, so a hit is a compositeness certificate and
-    None certifies N prime.  (Tight loop: this is the function that walks
-    entire intervals when N is prime.)
+    The scan drops only the u that is_perfect_square's own screens reject,
+    so a hit is a compositeness certificate and None certifies N prime.
     """
     span = u_range(t)
-    if not span:
-        return None
-    square_root = arith.is_perfect_square
-    center = CENTER_STEP * span.start + t.offset
-    disc = center * center - t.N  # >= 0 from u_min on
-    for u in span:
-        root = square_root(disc)
+    screens = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset)
+    for u in arith.sieve_progression(span.start, span.stop, screens):
+        center = CENTER_STEP * u + t.offset
+        disc = center * center - t.N
+        root = arith.is_perfect_square(disc)
         if root is not None:
             return Candidate(u=u, center=center, disc=disc, root=root)
-        disc += 16 * center + 64  # (center+8)^2 - center^2
-        center += 8
     return None
 
 

@@ -1,7 +1,7 @@
 """Unit and property tests for the integer helpers."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatsieve import arith
@@ -69,6 +69,106 @@ def test_sqrt_family_exhaustive_to_1e6():
             assert sq == root
         else:
             assert sq is None
+
+
+def _survivors(start, stop, kills):
+    """The kernel's contract as a plain per-u predicate: u survives when
+    u = r (mod q) for no class (q, residues) and no r in residues."""
+    classes = [(q, {r % q for r in residues}) for q, residues in kills]
+    return [u for u in range(start, stop) if all(u % q not in drop for q, drop in classes)]
+
+
+def _block_edges():
+    """Offsets from a scan's start where the kernel's blocks meet."""
+    edges, at, size = [], 0, arith._BLOCK_FIRST
+    while at < 3 * arith._BLOCK_CAP:
+        at += size
+        edges.append(at)
+        size = min(2 * size, arith._BLOCK_CAP)
+    return edges
+
+
+_SQUARES = {q: {r * r % q for r in range(q)} for q in (64, 63, 65, 11)}
+
+
+def _passes_screens(x):
+    return all(x % q in squares for q, squares in _SQUARES.items())
+
+
+F5 = (1 << 32) + 1
+
+
+@pytest.mark.parametrize(
+    "N, step, offset, first",
+    [
+        (4 * 1402**2 + 1, 8, 1, 351),  # 8u + 1, even generator
+        (4 * 1403**2 + 1, 8, 3, 351),  # 8u + 3, odd generator
+        (9797, 1, 0, 99),  # the plain c walk from ceil(sqrt(N))
+        (F5, 8192, 1, 8),  # 2^(2n+3) lam + 1 for F_5
+    ],
+)
+def test_sieve_progression_screens_match_plain_scan(N, step, offset, first):
+    # empty, shorter than one block, and ranges that end on, just before
+    # and just after each block boundary
+    lengths = [0, 1, 100] + [e + d for e in _block_edges()[:4] for d in (-1, 0, 1)]
+    kills = arith.nonsquare_classes(N, step, offset)
+    for length in lengths:
+        stop = first + length
+        expected = [
+            u for u in range(first, stop) if _passes_screens((step * u + offset) ** 2 - N)
+        ]
+        assert list(arith.sieve_progression(first, stop, kills)) == expected, length
+        assert expected == _survivors(first, stop, kills), length
+
+
+def test_sieve_progression_long_scan_keeps_every_square():
+    # past the block cap, and every center with a square discriminant survives
+    N = 4 * 1406**2 + 1  # 7907345 = 5 * 1581469, square at u = 98842
+    first, stop = 352, 352 + 3 * arith._BLOCK_CAP + 17
+    kills = arith.nonsquare_classes(N, 8, 1)
+    got = list(arith.sieve_progression(first, stop, kills))
+    assert got == _survivors(first, stop, kills)
+    squares = [
+        u for u in range(first, stop) if arith.is_perfect_square((8 * u + 1) ** 2 - N) is not None
+    ]
+    assert squares == [98842] and 98842 in got
+
+
+_kill_classes = st.lists(
+    st.integers(min_value=1, max_value=150).flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(0, 2 * q - 1), max_size=q, unique=True).map(tuple)
+        )
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**15),
+    st.integers(min_value=0, max_value=3 * arith._BLOCK_FIRST + 50),
+    _kill_classes,
+)
+def test_sieve_progression_matches_predicate(start, length, kills):
+    stop = start + length
+    assert list(arith.sieve_progression(start, stop, kills)) == _survivors(start, stop, kills)
+
+
+def test_sieve_progression_tests_sparse_classes_per_survivor():
+    # after the dense classes mod 2..11 few u are left, so the class mod 97
+    # (given partly by residues >= 97) is tested on each survivor instead
+    dense = [(q, tuple(range(1, q))) for q in (2, 3, 5, 7, 11)]
+    kills = dense + [(97, tuple(range(1, 97, 2)) + (97 + 2,))]
+    start, stop = 10**12, 10**12 + 3 * arith._BLOCK_CAP
+    got = list(arith.sieve_progression(start, stop, kills))
+    assert got == _survivors(start, stop, kills)
+    assert got and all(u % 2310 == 0 and u % 97 % 2 == 0 and u % 97 != 2 for u in got)
+
+
+def test_sieve_progression_rejects_bad_modulus():
+    with pytest.raises(ValueError):
+        list(arith.sieve_progression(0, 10, [(0, (0,))]))
 
 
 def test_mod_inv_examples():

@@ -7,6 +7,7 @@ direct big-integer arithmetic, never assumed.
 
 import pytest
 
+from fermatsieve import arith
 from fermatsieve import fermat_numbers as fn
 
 
@@ -69,6 +70,21 @@ def test_lucas_search_cap():
     # is deliberately out of range no matter how large s_max is
     t5 = fn.make_fermat(5)
     assert [h.s for h in fn.lucas_search(t5, 10**6)] == [5]
+
+
+def test_divisor_cap_closed_form():
+    # the closed form agrees with the square-root formula it replaces
+    for n in range(4, 17):
+        t = fn.make_fermat(n)
+        assert fn.divisor_cap(t) == (arith.isqrt(t.value - 1) >> (n + 2)) - 1, n
+    with pytest.raises(ValueError):
+        fn.divisor_cap(fn.make_fermat(3))
+
+
+def test_lucas_divisors_is_lazy():
+    # the first divisor of F_6 arrives without testing the rest of the budget
+    hits = fn.lucas_divisors(fn.make_fermat(6), 10**9)
+    assert next(hits).s == 1071
 
 
 def test_lambda_interval():

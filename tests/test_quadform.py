@@ -135,6 +135,22 @@ def test_filter_duality_small_sweep():
             ) == quadform.admissible_residues_qr(t, p), (n, p)
 
 
+def test_qr_kill_classes_complement_admissible_residues():
+    # the classes the sieve drops are exactly the residues the QR form
+    # rejects, the set the duality tests tie to the parametric form
+    primes = [p for p in arith.primes_up_to(97) if p != 2]
+    for n in range(1, 501):
+        t = quadform.make_target(n)
+        for p in primes:
+            if t.N % p == 0:
+                continue
+            rejected = set(range(p)) - quadform.admissible_residues_qr(t, p)
+            ((period, residues),) = arith.nonsquare_classes(
+                t.N, quadform.CENTER_STEP, t.offset, [p]
+            )
+            assert (period, set(residues)) == (p, rejected), (n, p)
+
+
 def test_default_filter_primes_excludes_divisors():
     t = quadform.make_target(9)  # 325 = 5^2 * 13
     primes = quadform.default_filter_primes(t)
@@ -156,10 +172,26 @@ def test_sieve_examples():
 
 
 def test_sieve_trial_division_path():
-    # A caller-supplied filter prime that divides N short-circuits.
+    # A caller-supplied filter prime that divides N prunes nothing; the scan
+    # still finds the pair.
     t65 = quadform.make_target(4)
     pairs = quadform.sieve_enumerate(t65, [5])
     assert [(p.a, p.b, p.witness_u, p.d) for p in pairs] == [(5, 13, 1, 4)]
+
+
+def test_sieve_filter_prime_dividing_n_keeps_smallest_u_first():
+    # N = 325 = 5^2 * 13: the filter prime 5 divides N, which must neither
+    # hide the most balanced pair (13, 25) at u = 2 nor the rest of want_all
+    t325 = quadform.make_target(9)
+    pairs = quadform.sieve_enumerate(t325, (3, 5))
+    assert [(p.a, p.b, p.witness_u) for p in pairs] == [(13, 25, 2)]
+    pairs = quadform.sieve_enumerate(t325, (3, 5), want_all=True)
+    assert [(p.a, p.b, p.witness_u) for p in pairs] == [(13, 25, 2), (5, 65, 4)]
+    # every discriminant is a square mod 5 | N, so its QR class is empty
+    assert [
+        (q, list(residues))
+        for q, residues in arith.nonsquare_classes(t325.N, quadform.CENTER_STEP, t325.offset, [5])
+    ] == [(5, [])]
 
 
 def test_sieve_rejects_even_filter_prime():
@@ -220,6 +252,28 @@ def test_compositeness_witness_matches_candidate_arithmetic():
         w = quadform.compositeness_witness(t)
         if w is not None:
             assert w == quadform.try_candidate(t, w.u)
+
+
+def _reference_witness(t):
+    """The unsieved per-u scan: every u of the interval goes to the square test."""
+    span = quadform.u_range(t)
+    if not span:
+        return None
+    center = quadform.CENTER_STEP * span.start + t.offset
+    disc = center * center - t.N
+    for u in span:
+        root = arith.is_perfect_square(disc)
+        if root is not None:
+            return quadform.Candidate(u=u, center=center, disc=disc, root=root)
+        disc += 16 * center + 64
+        center += 8
+    return None
+
+
+def test_compositeness_witness_matches_unsieved_scan():
+    for n in range(1, 401):
+        t = quadform.make_target(n)
+        assert quadform.compositeness_witness(t) == _reference_witness(t), n
 
 
 def test_primality_agreement_small_sweep():
