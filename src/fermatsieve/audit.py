@@ -6,7 +6,7 @@ and every congruence claim about those indices is checked instance by
 instance, producing a counterexample ledger whose entries can be replayed
 standalone (``verify_violation``).
 
-Claim identifiers, one per auditable statement:
+Claim identifiers, one per auditable statement and per entry of ``CLAIMS``:
 
 * E1..E4   even-generator claims (discriminant square, interval, the
            u != 0 mod p skip for p = 3 mod 4, admissible-residue
@@ -26,12 +26,16 @@ Claim identifiers, one per auditable statement:
 """
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import arith, fermat_numbers, quadform
 
 __all__ = [
     "ClaimId",
+    "Claim",
+    "CLAIMS",
     "QUAD_CLAIMS",
     "FERMAT_CLAIMS",
     "STRUCTURAL_CLAIMS",
@@ -48,44 +52,6 @@ __all__ = [
 ]
 
 
-class ClaimId(str, enum.Enum):
-    E1 = "E1"
-    E2 = "E2"
-    E3 = "E3"
-    E4 = "E4"
-    E5A_N = "E5a_n"
-    E5A_M = "E5a_m"
-    E5B_N = "E5b_n"
-    E5B_M = "E5b_m"
-    E6_N = "E6_n"
-    E6_M = "E6_m"
-    O1 = "O1"
-    O2 = "O2"
-    O3 = "O3"
-    O4 = "O4"
-    L1 = "L1"
-    CE = "CE"
-    CO = "CO"
-    F1 = "F1"
-    F2 = "F2"
-    F3 = "F3"
-    F4 = "F4"
-    F5 = "F5"
-    L2 = "L2"
-
-
-FERMAT_CLAIMS = frozenset(
-    {ClaimId.F1, ClaimId.F2, ClaimId.F3, ClaimId.F4, ClaimId.F5, ClaimId.L2}
-)
-QUAD_CLAIMS = frozenset(ClaimId) - FERMAT_CLAIMS
-
-#: Claims that follow from the factorization identity and interval algebra;
-#: a violation of one of these means an implementation bug, not a finding.
-STRUCTURAL_CLAIMS = frozenset(
-    {ClaimId.E1, ClaimId.E2, ClaimId.O1, ClaimId.O2, ClaimId.L1, ClaimId.CE, ClaimId.CO}
-)
-
-
 @dataclass(frozen=True)
 class Violation:
     """A single claim failure with enough witness data to replay it."""
@@ -96,14 +62,6 @@ class Violation:
     u: int
     modulus: int | None
     detail: str
-
-
-@dataclass
-class ClaimReport:
-    claim: ClaimId
-    range_tested: str
-    instances_tested: int = 0
-    violations: list[Violation] = field(default_factory=list)
 
 
 def oracle_factorize(N: int) -> list[int]:
@@ -154,18 +112,226 @@ def l1_witness(t: quadform.QuadTarget) -> int | None:
     return None
 
 
-class _Acc:
-    __slots__ = ("instances", "violations")
+class _Generator:
+    """Generator target n with what its claims share, each worked out at
+    most once: the oracle's factor pairs, the interval scan's witness and
+    the admissible residue sets."""
 
-    def __init__(self):
-        self.instances = 0
-        self.violations = []
+    index_name = "u"  # how a congruence claim's detail names the index
+
+    def __init__(self, n: int):
+        self.t = quadform.make_target(n)
+        self.n, self.N = n, self.t.N
+        self.family = "even" if self.t.offset == 1 else "odd"
+        self._admissible: dict[int, set[int]] = {}
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        return proper_factor_pairs(self.N)
+
+    @cached_property
+    def witness(self) -> quadform.Candidate | None:
+        return quadform.compositeness_witness(self.t)
+
+    def admissible(self, p: int) -> set[int]:
+        if p not in self._admissible:
+            self._admissible[p] = quadform.admissible_residues_parametric(self.t, p)
+        return self._admissible[p]
+
+    def target_record(self) -> tuple[tuple[int, int], int]:
+        """(pair, u) that a per-target violation records: the oracle's first
+        pair, or the scan witness's split when the oracle finds N prime."""
+        if self.pairs:
+            a, b = self.pairs[0]
+            return (a, b), quadform.derive_u(self.t, a, b)
+        w = self.witness
+        return (w.center - w.root, w.center + w.root), w.u
 
 
-def _record(acc, n, N, pair, u, modulus, detail):
-    acc.violations.append(
-        Violation(n=n, N=N, pair=pair, u=u, modulus=modulus, detail=detail)
-    )
+class _Fermat:
+    """F_n with the factor pair its claims are checked on."""
+
+    family = "fermat"
+    index_name = "lam"
+
+    def __init__(self, t: fermat_numbers.FermatTarget, pair: tuple[int, int]):
+        self.t, self.n, self.N, self.pairs = t, t.index_n, t.value, [pair]
+
+
+def _disc_not_square(x, u, p):
+    cand = quadform.try_candidate(x.t, u)
+    if cand.root is None:
+        return f"discriminant {cand.disc} at u={u} is not a perfect square"
+
+
+def _outside_interval(x, u, p):
+    u_min, u_sup = quadform.u_interval(x.t)
+    if not u_min <= u < u_sup:
+        return f"u={u} outside [{u_min}, {u_sup})"
+
+
+def _4u1_zero_mod_p(x, u, p):
+    if (4 * u + 1) % p == 0:
+        return f"4u+1={4 * u + 1} = 0 (mod {p}) with {p} = 3 (mod 4)"
+
+
+def _not_admissible(x, u, p):
+    if u % p not in x.admissible(p):
+        return f"u mod {p} = {u % p} not in the admissible residue set"
+
+
+def _congruence(r, wanted, suffix=""):
+    """Predicate of the claim that the index is r mod p (wanted) or is not
+    (not wanted); suffix, formatted with p and the target t, ends the detail."""
+
+    def violated(x, u, p):
+        equal = u % p == r
+        if equal != wanted:
+            relation = "=" if equal else "!="
+            return f"{x.index_name}={u} {relation} {r} (mod {p})" + suffix.format(p=p, t=x.t)
+
+    return violated
+
+
+def _no_l1_witness(x, u, p):
+    if l1_witness(x.t) is None:
+        return "no small-factor index b with m^2 + b^2 = 0 (mod 4b+1)"
+
+
+def _converse_fails(x, u, p):
+    w = x.witness
+    if w is not None and not x.pairs:
+        return f"witness u={w.u} found but N={x.N} is prime by the oracle"
+    if w is None and x.pairs:
+        return f"N={x.N} is composite but the interval scan found no witness"
+
+
+def _lam_disc_not_square(x, lam, p):
+    center = x.t.center_step * lam + 1
+    if arith.is_perfect_square(center * center - x.N) is None:
+        return f"discriminant at lam={lam} is not a perfect square"
+
+
+def _lam_outside_interval(x, lam, p):
+    lam_min, lam_sup = fermat_numbers.lambda_interval(x.t)
+    if not lam_min <= lam < lam_sup:
+        return f"lam={lam} outside [{lam_min}, {lam_sup})"
+
+
+def _not_a_divisor(x, s, p):
+    t = x.t
+    if (
+        (x.pairs[0][0] - 1) % t.divisor_step  # the divisor is off the progression
+        or fermat_numbers.lucas_check(t, s).residue != 0
+        or s > fermat_numbers.divisor_cap(t)
+    ):
+        return f"divisor index s={s} fails the membership congruence or its bound"
+
+
+def _lam_of_pair(x, a, b):
+    return fermat_numbers.lambda_of_pair(x.t, a, b)
+
+
+def _p_3mod4(x, p):
+    return p % 4 == 3
+
+
+_WITH_3MOD4 = " with {p} = 3 (mod 4)"
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One auditable statement; the README's "Claim audit" section has more.
+
+    violated(target, index, modulus) gives the detail of a failing instance,
+    None when it holds.  index(target, a, b) is the index pair (a, b) is
+    recorded under (u, lam or s); None marks a claim made once per target,
+    which replays from n alone.  moduli lists the moduli checked per pair
+    ((None,): none), or is a predicate (target, p) picking them among the
+    odd primes up to the audit's bound.
+    """
+
+    id: str
+    family: str  # "even", "odd" or "fermat"
+    violated: Callable
+    index: Callable | None = lambda x, a, b: quadform.derive_u(x.t, a, b)
+    applies: Callable = lambda x: True  # the side condition
+    moduli: tuple | Callable = (None,)
+    structural: bool = False  # a violation means a bug, not a finding
+
+
+CLAIMS = (
+    Claim("E1", "even", _disc_not_square, structural=True),
+    Claim("E2", "even", _outside_interval, structural=True),
+    Claim("E3", "even", _congruence(0, False, _WITH_3MOD4), moduli=_p_3mod4),
+    Claim("E4", "even", _not_admissible, moduli=lambda x, p: x.N % p != 0),
+    Claim("E5a_n", "even", _congruence(2, True, " though n={t.n} even"), moduli=(4,),
+          applies=lambda x: x.t.n % 2 == 0),
+    Claim("E5a_m", "even", _congruence(2, True, " though m={t.m} even"), moduli=(4,),
+          applies=lambda x: x.t.m % 2 == 0),
+    Claim("E5b_n", "even", _congruence(2, False, " though n={t.n} even"), moduli=(4,),
+          applies=lambda x: x.t.n % 2 == 0),
+    Claim("E5b_m", "even", _congruence(2, False, " though m={t.m} even"), moduli=(4,),
+          applies=lambda x: x.t.m % 2 == 0),
+    Claim("E6_n", "even", _congruence(1, True, " though 3 does not divide n={t.n}"), moduli=(3,),
+          applies=lambda x: x.t.n % 3 != 0),
+    Claim("E6_m", "even", _congruence(1, True, " though 3 does not divide m={t.m}"), moduli=(3,),
+          applies=lambda x: x.t.m % 3 != 0),
+    Claim("O1", "odd", _disc_not_square, structural=True),
+    Claim("O2", "odd", _outside_interval, structural=True),
+    Claim("O3", "odd", _4u1_zero_mod_p, moduli=_p_3mod4),
+    Claim("O4", "odd", _not_admissible, moduli=lambda x, p: x.N % p != 0),
+    Claim("L1", "even", _no_l1_witness, index=None, structural=True,
+          applies=lambda x: bool(x.pairs)),
+    Claim("CE", "even", _converse_fails, index=None, structural=True),
+    Claim("CO", "odd", _converse_fails, index=None, structural=True),
+    Claim("F1", "fermat", _lam_disc_not_square, index=_lam_of_pair),
+    Claim("F2", "fermat", _lam_outside_interval, index=_lam_of_pair, applies=lambda x: x.n >= 5),
+    Claim("F3", "fermat", _congruence(0, False, _WITH_3MOD4), index=_lam_of_pair, moduli=_p_3mod4),
+    Claim("F4", "fermat", _congruence(2, False), index=_lam_of_pair, moduli=(4,)),
+    Claim("F5", "fermat", _congruence(1, True), index=_lam_of_pair, moduli=(3,)),
+    Claim("L2", "fermat", _not_a_divisor, index=lambda x, a, b: (a - 1) // x.t.divisor_step),
+)
+_BY_ID = {c.id: c for c in CLAIMS}
+
+#: One member per CLAIMS entry, in table order; ClaimId.E5A_N is "E5a_n".
+ClaimId = enum.Enum("ClaimId", [(c.id.upper(), c.id) for c in CLAIMS], type=str, module=__name__)
+
+FERMAT_CLAIMS = frozenset(ClaimId(c.id) for c in CLAIMS if c.family == "fermat")
+QUAD_CLAIMS = frozenset(ClaimId) - FERMAT_CLAIMS
+
+#: Claims that follow from the factorization identity and interval algebra;
+#: a violation of one of these means an implementation bug, not a finding.
+STRUCTURAL_CLAIMS = frozenset(ClaimId(c.id) for c in CLAIMS if c.structural)
+
+
+@dataclass
+class ClaimReport:
+    claim: ClaimId
+    range_tested: str
+    instances_tested: int = 0
+    violations: list[Violation] = field(default_factory=list)
+
+
+def _check(claims, x, reports, odd_primes) -> None:
+    """Count and judge every instance of the claims on target x, adding
+    each violation to its claim's report."""
+    indices = {}  # (index function, pair) -> index, shared by the claims
+    for c in claims:
+        if not c.applies(x):
+            continue
+        report = reports[c.id]
+        moduli = [p for p in odd_primes if c.moduli(x, p)] if callable(c.moduli) else c.moduli
+        for pair in x.pairs if c.index else [None]:
+            if pair is not None and (c.index, pair) not in indices:
+                indices[c.index, pair] = c.index(x, *pair)
+            u = indices.get((c.index, pair))
+            for p in moduli:
+                report.instances_tested += 1
+                detail = c.violated(x, u, p)
+                if detail is not None:
+                    record = (pair, u) if pair else x.target_record()
+                    report.violations.append(Violation(x.n, x.N, *record, p, detail))
 
 
 def audit_claims(
@@ -190,167 +356,29 @@ def audit_claims(
     if foreign:
         raise ValueError(f"not generator claims: {sorted(c.value for c in foreign)}")
     odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
-    primes_3mod4 = [p for p in odd_primes if p % 4 == 3]
-    accs = {c: _Acc() for c in selected}
-
-    for n in range(n_min, n_max + 1):
-        t = quadform.make_target(n)
-        N = t.N
-        composite = len(oracle_factorize(N)) > 1
-        even = t.offset == 1
-
-        converse = ClaimId.CE if even else ClaimId.CO
-        if converse in selected:
-            acc = accs[converse]
-            acc.instances += 1
-            witness = quadform.compositeness_witness(t)
-            if (witness is not None) != composite:
-                if witness is not None:
-                    pair = (witness.center - witness.root, witness.center + witness.root)
-                    _record(
-                        acc, n, N, pair, witness.u, None,
-                        f"witness u={witness.u} found but N={N} is prime by the oracle",
-                    )
-                else:
-                    a, b = proper_factor_pairs(N)[0]
-                    _record(
-                        acc, n, N, (a, b), quadform.derive_u(t, a, b), None,
-                        f"N={N} is composite but the interval scan found no witness",
-                    )
-
-        if not composite:
-            continue
-
-        if even and ClaimId.L1 in selected:
-            acc = accs[ClaimId.L1]
-            acc.instances += 1
-            if l1_witness(t) is None:
-                a, b = proper_factor_pairs(N)[0]
-                _record(
-                    acc, n, N, (a, b), quadform.derive_u(t, a, b), None,
-                    "no small-factor index b with m^2 + b^2 = 0 (mod 4b+1)",
-                )
-
-        pairs = proper_factor_pairs(N)
-        param_sets: dict[int, set[int]] = {}
-        for a, b in pairs:
-            u = quadform.derive_u(t, a, b)
-            pair = (a, b)
-
-            disc_claim = ClaimId.E1 if even else ClaimId.O1
-            if disc_claim in selected:
-                acc = accs[disc_claim]
-                acc.instances += 1
-                cand = quadform.try_candidate(t, u)
-                if cand.root is None:
-                    _record(
-                        acc, n, N, pair, u, None,
-                        f"discriminant {cand.disc} at u={u} is not a perfect square",
-                    )
-
-            interval_claim = ClaimId.E2 if even else ClaimId.O2
-            if interval_claim in selected:
-                acc = accs[interval_claim]
-                acc.instances += 1
-                u_min, u_sup = quadform.u_interval(t)
-                if not (u_min <= u < u_sup):
-                    _record(
-                        acc, n, N, pair, u, None,
-                        f"u={u} outside [{u_min}, {u_sup})",
-                    )
-
-            skip_claim = ClaimId.E3 if even else ClaimId.O3
-            if skip_claim in selected:
-                acc = accs[skip_claim]
-                for p in primes_3mod4:
-                    acc.instances += 1
-                    if even:
-                        if u % p == 0:
-                            _record(
-                                acc, n, N, pair, u, p,
-                                f"u={u} = 0 (mod {p}) with {p} = 3 (mod 4)",
-                            )
-                    elif (4 * u + 1) % p == 0:
-                        _record(
-                            acc, n, N, pair, u, p,
-                            f"4u+1={4 * u + 1} = 0 (mod {p}) with {p} = 3 (mod 4)",
-                        )
-
-            member_claim = ClaimId.E4 if even else ClaimId.O4
-            if member_claim in selected:
-                acc = accs[member_claim]
-                for p in odd_primes:
-                    if N % p == 0:
-                        continue
-                    acc.instances += 1
-                    if p not in param_sets:
-                        param_sets[p] = quadform.admissible_residues_parametric(t, p)
-                    if u % p not in param_sets[p]:
-                        _record(
-                            acc, n, N, pair, u, p,
-                            f"u mod {p} = {u % p} not in the admissible residue set",
-                        )
-
-            if even:
-                for claim, condition, cond_text in (
-                    (ClaimId.E5A_N, t.n % 2 == 0, f"n={t.n} even"),
-                    (ClaimId.E5A_M, t.m % 2 == 0, f"m={t.m} even"),
-                ):
-                    if claim in selected and condition:
-                        acc = accs[claim]
-                        acc.instances += 1
-                        if u % 4 != 2:
-                            _record(
-                                acc, n, N, pair, u, 4,
-                                f"u={u} != 2 (mod 4) though {cond_text}",
-                            )
-                for claim, condition, cond_text in (
-                    (ClaimId.E5B_N, t.n % 2 == 0, f"n={t.n} even"),
-                    (ClaimId.E5B_M, t.m % 2 == 0, f"m={t.m} even"),
-                ):
-                    if claim in selected and condition:
-                        acc = accs[claim]
-                        acc.instances += 1
-                        if u % 4 == 2:
-                            _record(
-                                acc, n, N, pair, u, 4,
-                                f"u={u} = 2 (mod 4) though {cond_text}",
-                            )
-                for claim, condition, cond_text in (
-                    (ClaimId.E6_N, t.n % 3 != 0, f"3 does not divide n={t.n}"),
-                    (ClaimId.E6_M, t.m % 3 != 0, f"3 does not divide m={t.m}"),
-                ):
-                    if claim in selected and condition:
-                        acc = accs[claim]
-                        acc.instances += 1
-                        if u % 3 != 1:
-                            _record(
-                                acc, n, N, pair, u, 3,
-                                f"u={u} != 1 (mod 3) though {cond_text}",
-                            )
-
     range_desc = f"n in [{n_min}, {n_max}]; primes <= {prime_bound}"
-    return [
-        ClaimReport(
-            claim=c,
-            range_tested=range_desc,
-            instances_tested=accs[c].instances,
-            violations=accs[c].violations,
-        )
-        for c in ClaimId
-        if c in selected
-    ]
+    chosen = [c for c in CLAIMS if c.id in selected]
+    reports = {c.id: ClaimReport(ClaimId(c.id), range_desc) for c in chosen}
+    by_family = {f: [c for c in chosen if c.family == f] for f in ("even", "odd")}
+    for n in range(n_min, n_max + 1):
+        x = _Generator(n)
+        _check(by_family[x.family], x, reports, odd_primes)
+    return list(reports.values())
 
 
-def _fermat_pair_or_status(t, search_budget):
-    """(pair, status): the smallest-divisor factor pair found by the
-    progression search, or None with a status string explaining why."""
+def _fermat_pair(t, search_budget):
+    """(pair, None) with the smallest-divisor factor pair the progression
+    search finds, or (None, note) with the ledger note saying why not."""
+    idx = t.index_n
+    if idx < 4:
+        status = "prime" if arith.is_prime(t.value) else "composite"
+        return None, f"F_{idx}: {status}; divisor-form machinery needs index >= 4"
     hit = next(fermat_numbers.lucas_divisors(t, search_budget), None)
     if hit is not None:
-        return (hit.divisor, t.value // hit.divisor), "composite"
-    if fermat_numbers.divisor_cap(t) <= search_budget:
-        return None, "prime"  # every progression member below sqrt(F_n) tested
-    return None, "unknown"
+        return (hit.divisor, t.value // hit.divisor), None
+    if fermat_numbers.divisor_cap(t) <= search_budget:  # every member below sqrt(F_n) tested
+        return None, f"F_{idx}: prime (no divisor below sqrt, scan complete)"
+    return None, f"F_{idx}: skipped, no factorization within search budget {search_budget}"
 
 
 def audit_fermat(
@@ -366,184 +394,54 @@ def audit_fermat(
     machinery's preconditions are probed and labeled rather than audited.
     """
     odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
-    primes_3mod4 = [p for p in odd_primes if p % 4 == 3]
-    accs = {c: _Acc() for c in FERMAT_CLAIMS}
+    claims = [c for c in CLAIMS if c.family == "fermat"]
+    range_desc = f"F indices {sorted(set(indices))}; primes <= {prime_bound}"
+    reports = {c.id: ClaimReport(ClaimId(c.id), range_desc) for c in claims}
     notes = []
-
     for idx in sorted(set(indices)):
         t = fermat_numbers.make_fermat(idx)
-        if idx < 4:
-            status = "prime" if arith.is_prime(t.value) else "composite"
-            notes.append(
-                f"F_{idx}: {status}; divisor-form machinery needs index >= 4"
-            )
-            continue
-        pair, status = _fermat_pair_or_status(t, search_budget)
+        pair, note = _fermat_pair(t, search_budget)
         if pair is None:
-            if status == "prime":
-                notes.append(f"F_{idx}: prime (no divisor below sqrt, scan complete)")
-            else:
-                notes.append(
-                    f"F_{idx}: skipped, no factorization within search budget "
-                    f"{search_budget}"
-                )
+            notes.append(note)
             continue
         if idx < 5:
             notes.append(
                 f"F_{idx}: composite; out-of-precondition probe "
                 "(center-index interval needs index >= 5)"
             )
-        g, q = pair
-        lam = fermat_numbers.lambda_of_pair(t, g, q)
-
-        acc = accs[ClaimId.L2]
-        acc.instances += 1
-        s = (g - 1) // t.divisor_step
-        cap = fermat_numbers.divisor_cap(t)
-        if fermat_numbers.lucas_check(t, s).residue != 0 or s > cap:
-            _record(
-                acc, idx, t.value, pair, s, None,
-                f"divisor index s={s} fails the membership congruence or its bound",
-            )
-
-        acc = accs[ClaimId.F1]
-        acc.instances += 1
-        center = t.center_step * lam + 1
-        if arith.is_perfect_square(center * center - t.value) is None:
-            _record(
-                acc, idx, t.value, pair, lam, None,
-                f"discriminant at lam={lam} is not a perfect square",
-            )
-
-        if idx >= 5:
-            acc = accs[ClaimId.F2]
-            acc.instances += 1
-            lam_min, lam_sup = fermat_numbers.lambda_interval(t)
-            if not (lam_min <= lam < lam_sup):
-                _record(
-                    acc, idx, t.value, pair, lam, None,
-                    f"lam={lam} outside [{lam_min}, {lam_sup})",
-                )
-
-        acc = accs[ClaimId.F3]
-        for p in primes_3mod4:
-            acc.instances += 1
-            if lam % p == 0:
-                _record(
-                    acc, idx, t.value, pair, lam, p,
-                    f"lam={lam} = 0 (mod {p}) with {p} = 3 (mod 4)",
-                )
-
-        acc = accs[ClaimId.F4]
-        acc.instances += 1
-        if lam % 4 == 2:
-            _record(acc, idx, t.value, pair, lam, 4, f"lam={lam} = 2 (mod 4)")
-
-        acc = accs[ClaimId.F5]
-        acc.instances += 1
-        if lam % 3 != 1:
-            _record(acc, idx, t.value, pair, lam, 3, f"lam={lam} != 1 (mod 3)")
-
-    range_desc = f"F indices {sorted(set(indices))}; primes <= {prime_bound}"
-    if notes:
-        range_desc += "; " + "; ".join(notes)
-    return [
-        ClaimReport(
-            claim=c,
-            range_tested=range_desc,
-            instances_tested=accs[c].instances,
-            violations=accs[c].violations,
-        )
-        for c in ClaimId
-        if c in FERMAT_CLAIMS
-    ]
-
-
-def _verify_fermat_violation(claim: ClaimId, v: Violation) -> bool:
-    t = fermat_numbers.make_fermat(v.n)
-    if t.value != v.N:
-        return False
-    a, b = v.pair
-    if a * b != t.value:
-        return False
-    if claim is ClaimId.L2:
-        s, rem = divmod(a - 1, t.divisor_step)
-        if rem:
-            return True  # recorded failure: divisor off the progression
-        cap = fermat_numbers.divisor_cap(t)
-        return fermat_numbers.lucas_check(t, s).residue != 0 or s > cap
-    lam = fermat_numbers.lambda_of_pair(t, a, b)
-    if lam != v.u:
-        return False
-    if claim is ClaimId.F1:
-        center = t.center_step * lam + 1
-        return arith.is_perfect_square(center * center - t.value) is None
-    if claim is ClaimId.F2:
-        if t.index_n < 5:
-            return False
-        lam_min, lam_sup = fermat_numbers.lambda_interval(t)
-        return not (lam_min <= lam < lam_sup)
-    if claim is ClaimId.F3:
-        return v.modulus is not None and v.modulus % 4 == 3 and lam % v.modulus == 0
-    if claim is ClaimId.F4:
-        return lam % 4 == 2
-    if claim is ClaimId.F5:
-        return lam % 3 != 1
-    raise ValueError(f"unknown Fermat claim {claim}")
+        _check(claims, _Fermat(t, pair), reports, odd_primes)
+    for report in reports.values():
+        report.range_tested = "; ".join([report.range_tested, *notes])
+    return list(reports.values())
 
 
 def verify_violation(claim: ClaimId, v: Violation) -> bool:
     """Replay a recorded violation from scratch; True when it reproduces.
 
-    Used as the audit's self-check: a violation that does not reproduce
-    means the ledger itself is corrupt.
+    The target is rebuilt from v.n and must have N = v.N.  Unless the claim
+    is made once per target, the index re-derived from v.pair must equal
+    v.u, and v.modulus must be one the claim is checked at.  Then the
+    claim's own predicate judges the instance; a violation that does not
+    reproduce means the ledger itself is corrupt.
     """
-    if claim in FERMAT_CLAIMS:
-        return _verify_fermat_violation(claim, v)
-    t = quadform.make_target(v.n)
-    if t.N != v.N:
+    c = _BY_ID[claim]
+    fermat = c.family == "fermat"
+    x = _Fermat(fermat_numbers.make_fermat(v.n), v.pair) if fermat else _Generator(v.n)
+    if x.family != c.family or x.N != v.N:
         return False
-    if claim in (ClaimId.CE, ClaimId.CO):
-        composite = len(oracle_factorize(t.N)) > 1
-        return (quadform.compositeness_witness(t) is not None) != composite
-    if claim is ClaimId.L1:
-        return l1_witness(t) is None
-    a, b = v.pair
-    if a * b != t.N:
-        return False
-    try:
-        u = quadform.derive_u(t, a, b)
-    except (ValueError, ArithmeticError):
-        return False
-    if u != v.u:
-        return False
-    p = v.modulus
-    if claim in (ClaimId.E1, ClaimId.O1):
-        return quadform.try_candidate(t, u).root is None
-    if claim in (ClaimId.E2, ClaimId.O2):
-        u_min, u_sup = quadform.u_interval(t)
-        return not (u_min <= u < u_sup)
-    if claim is ClaimId.E3:
-        return p is not None and p % 4 == 3 and u % p == 0
-    if claim is ClaimId.O3:
-        return p is not None and p % 4 == 3 and (4 * u + 1) % p == 0
-    if claim in (ClaimId.E4, ClaimId.O4):
-        if p is None or p == 2 or t.N % p == 0:
+    if c.index is not None:
+        a, b, p = *v.pair, v.modulus
+        try:
+            if a * b != x.N or c.index(x, a, b) != v.u:
+                return False
+        except (ValueError, ArithmeticError):
             return False
-        return u % p not in quadform.admissible_residues_parametric(t, p)
-    if claim is ClaimId.E5A_N:
-        return t.n % 2 == 0 and u % 4 != 2
-    if claim is ClaimId.E5A_M:
-        return t.m % 2 == 0 and u % 4 != 2
-    if claim is ClaimId.E5B_N:
-        return t.n % 2 == 0 and u % 4 == 2
-    if claim is ClaimId.E5B_M:
-        return t.m % 2 == 0 and u % 4 == 2
-    if claim is ClaimId.E6_N:
-        return t.n % 3 != 0 and u % 3 != 1
-    if claim is ClaimId.E6_M:
-        return t.m % 3 != 0 and u % 3 != 1
-    raise ValueError(f"unknown claim {claim}")
+        if callable(c.moduli):
+            if p is None or p < 3 or not arith.is_prime(p) or not c.moduli(x, p):
+                return False
+        elif p not in c.moduli:
+            return False
+    return c.applies(x) and c.violated(x, v.u, v.modulus) is not None
 
 
 def report_to_dict(report: ClaimReport) -> dict:
@@ -575,11 +473,11 @@ def parse_claim_spec(spec: str) -> set[ClaimId]:
     if spec.lower() == "all":
         return set(ClaimId)
     by_value = {c.value.lower(): c for c in ClaimId}
-    groups = {
-        "e5a": {ClaimId.E5A_N, ClaimId.E5A_M},
-        "e5b": {ClaimId.E5B_N, ClaimId.E5B_M},
-        "e6": {ClaimId.E6_N, ClaimId.E6_M},
-    }
+    groups: dict[str, set[ClaimId]] = {}  # "e5a" -> E5a_n and E5a_m, ...
+    for c in ClaimId:
+        head, _, reading = c.value.lower().partition("_")
+        if reading:
+            groups.setdefault(head, set()).add(c)
     out: set[ClaimId] = set()
     for token in spec.split(","):
         token = token.strip().lower()

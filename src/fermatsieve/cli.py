@@ -22,6 +22,11 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 
+#: Largest Fermat index whose F_n the fermat command's --json prints.  F_13
+#: has 2467 digits; F_14 has 4933, past the 4300-digit limit on int-to-str
+#: conversion that CPython sets by default, so from there on "F" is null.
+JSON_F_MAX_INDEX = 13
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -246,6 +251,7 @@ def cmd_fermat(args) -> int:
     if args.mode == "lambda" and args.index < 5:
         return _fail("lambda mode needs index >= 5")
     t = fermat_numbers.make_fermat(args.index)
+    json_F = t.value if args.index <= JSON_F_MAX_INDEX else None
     filters_on = args.filters == "on"
     parameters = {
         "index": args.index,
@@ -257,7 +263,7 @@ def cmd_fermat(args) -> int:
     if args.mode == "lucas":
         hits = fermat_numbers.lucas_search(t, args.budget)
         results = {
-            "F": t.value,
+            "F": json_F,
             "divisors": [{"s": h.s, "divisor": h.divisor} for h in hits],
         }
         if args.json:
@@ -274,7 +280,7 @@ def cmd_fermat(args) -> int:
         t, args.budget, mod3=filters_on, mod4=filters_on, primes_3mod4=primes
     )
     results = {
-        "F": t.value,
+        "F": json_F,
         "exhausted": outcome.exhausted,
         "examined": outcome.examined,
         "skipped": outcome.skipped,

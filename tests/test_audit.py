@@ -1,11 +1,49 @@
 """Tests for the oracle and the claim-audit harness."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from fermatsieve import audit, quadform
 from fermatsieve.audit import ClaimId, Violation
+
+F5_PAIR = (641, 6700417)
+
+#: One real instance per claim on which the claim holds: (n, pair, index,
+#: modulus), n being the Fermat index for F- and L2-claims.
+HOLDING = {
+    ClaimId.E1: (4, (5, 13), 1, None),
+    ClaimId.E2: (4, (5, 13), 1, None),
+    ClaimId.E3: (4, (5, 13), 1, 3),
+    ClaimId.E4: (4, (5, 13), 1, 3),
+    ClaimId.E5A_N: (6, (5, 29), 2, 4),
+    # every pair with m even violates E5a_m (up to n = 200 at least); here
+    # m = 17 is odd, so the claim says nothing although u != 2 (mod 4)
+    ClaimId.E5A_M: (34, (25, 185), 13, 4),
+    ClaimId.E5B_N: (4, (5, 13), 1, 4),
+    ClaimId.E5B_M: (4, (5, 13), 1, 4),
+    ClaimId.E6_N: (4, (5, 13), 1, 3),
+    ClaimId.E6_M: (4, (5, 13), 1, 3),
+    ClaimId.O1: (9, (5, 65), 4, None),
+    ClaimId.O2: (9, (5, 65), 4, None),
+    ClaimId.O3: (9, (5, 65), 4, 3),
+    ClaimId.O4: (9, (5, 65), 4, 3),
+    ClaimId.L1: (4, (5, 13), 1, None),
+    ClaimId.CE: (4, (5, 13), 1, None),
+    ClaimId.CO: (9, (5, 65), 4, None),
+    ClaimId.F1: (5, F5_PAIR, 409, None),
+    ClaimId.F2: (5, F5_PAIR, 409, None),
+    ClaimId.F3: (5, F5_PAIR, 409, 3),
+    ClaimId.F4: (5, F5_PAIR, 409, 4),
+    ClaimId.F5: (5, F5_PAIR, 409, 3),
+    ClaimId.L2: (5, F5_PAIR, 5, None),  # 641 = 2^7 * 5 + 1
+}
+
+#: sha256 of the ledger that test_ledger_bytes_pinned serializes, as the
+#: hand-written audit loops wrote it before the claim registry replaced them.
+LEDGER_SHA256 = "db417acfc108a8ad781faa44183915503278fb8905dce60242f60c25618239f4"
 
 
 def report_map(reports):
@@ -139,7 +177,14 @@ def test_every_violation_reverifies():
     assert total > 0  # the range does contain counterexamples
 
 
-def test_corrupted_violation_fails_reverification():
+@pytest.fixture(scope="module")
+def small_ledger():
+    """Violations of the audits over n <= 100 and F_5, F_6, by claim."""
+    reports = audit.audit_claims(1, 100) + audit.audit_fermat([5, 6])
+    return {r.claim: r.violations for r in reports if r.violations}
+
+
+def test_corrupted_violation_fails_reverification(small_ledger):
     good = Violation(n=9, N=325, pair=(13, 25), u=2, modulus=3, detail="")
     assert audit.verify_violation(ClaimId.O3, good)
     for bad in (
@@ -149,6 +194,68 @@ def test_corrupted_violation_fails_reverification():
         Violation(n=9, N=326, pair=(13, 25), u=2, modulus=3, detail=""),  # wrong N
     ):
         assert not audit.verify_violation(ClaimId.O3, bad)
+    # u = 45 is 0 modulo each of these, but E3 is checked at primes p = 3 (mod 4) only
+    e3 = Violation(n=48, N=9217, pair=(13, 709), u=45, modulus=3, detail="")
+    assert audit.verify_violation(ClaimId.E3, e3)
+    for p in (None, 1, 5, 15):
+        assert not audit.verify_violation(ClaimId.E3, replace(e3, modulus=p)), p
+    # u = 6 = 0 (mod 3), but n = 11 is odd and E3 is an even-generator claim
+    assert not audit.verify_violation(ClaimId.E3, Violation(11, 485, (5, 97), 6, 3, ""))
+    # 257 = 2^7 * 2 + 1 does not divide F_5, but (257, 16711681) is no pair of F_5
+    l2 = Violation(n=5, N=2**32 + 1, pair=(257, 16711681), u=2, modulus=None, detail="")
+    assert not audit.verify_violation(ClaimId.L2, l2)
+
+    assert set(small_ledger) == {
+        ClaimId.E3, ClaimId.E5A_N, ClaimId.E5A_M, ClaimId.E5B_N, ClaimId.O3
+    }
+    for claim, violations in small_ledger.items():
+        v = violations[0]
+        assert audit.verify_violation(claim, v), claim
+        a, b = v.pair
+        bad = [
+            replace(v, u=v.u + (v.modulus or 1)),  # same u mod p: only the index check fails
+            replace(v, pair=(a, b + 1)),
+            replace(v, N=v.N + 1),
+        ]
+        if v.modulus is not None:
+            # p + 2 is a modulus the claim is never checked at: p = 3 (mod 4)
+            # gives 1 (mod 4), and the fixed modulus 4 gives 6
+            bad.append(replace(v, modulus=v.modulus + 2))
+        for corrupted in bad:
+            assert not audit.verify_violation(claim, corrupted), (claim, corrupted)
+
+
+@pytest.mark.parametrize("claim", list(ClaimId), ids=lambda c: c.value)
+def test_holding_instance_does_not_replay(claim):
+    n, (a, b), index, modulus = HOLDING[claim]
+    center = (a + b) // 2
+    if claim is ClaimId.L2:
+        N, expected = 2 ** 2 ** n + 1, (a - 1) >> (n + 2)  # a = 2^(n+2) s + 1
+    elif claim in audit.FERMAT_CLAIMS:
+        N, expected = 2 ** 2 ** n + 1, (center - 1) >> (2 * n + 3)  # center = 2^(2n+3) lam + 1
+    else:
+        offset = 1 if n % 2 == 0 else 3
+        N, expected = 4 * n * n + 1, (center - offset) // 8  # center = 8u + offset
+    assert a * b == N and index == expected  # a real pair, recorded under its index
+    assert not audit.verify_violation(claim, Violation(n, N, (a, b), index, modulus, ""))
+
+
+def test_claim_registry_derives_the_claim_sets():
+    # ClaimId order is the ledger's report order
+    assert [c.value for c in ClaimId] == [
+        "E1", "E2", "E3", "E4", "E5a_n", "E5a_m", "E5b_n", "E5b_m", "E6_n", "E6_m",
+        "O1", "O2", "O3", "O4", "L1", "CE", "CO", "F1", "F2", "F3", "F4", "F5", "L2",
+    ]
+    assert {c.value for c in audit.FERMAT_CLAIMS} == {"F1", "F2", "F3", "F4", "F5", "L2"}
+    assert audit.QUAD_CLAIMS == set(ClaimId) - audit.FERMAT_CLAIMS
+    assert {c.value for c in audit.STRUCTURAL_CLAIMS} == {"E1", "E2", "O1", "O2", "L1", "CE", "CO"}
+
+
+def test_ledger_bytes_pinned():
+    # covers the F_4 "prime" and F_7 "skipped" notes besides the claims
+    reports = audit.audit_claims(1, 400) + audit.audit_fermat([4, 5, 6, 7])
+    text = json.dumps([audit.report_to_dict(r) for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LEDGER_SHA256
 
 
 def test_audit_determinism():

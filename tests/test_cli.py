@@ -229,6 +229,19 @@ def test_fermat_json(capsys):
     assert env["results"]["skipped"] > 0
 
 
+def test_fermat_json_omits_F_past_index_13(capsys):
+    # F_14 has more digits than Python converts to str by default
+    for mode in ("lucas", "lambda"):
+        rc, out, _ = run(
+            capsys, "fermat", "--index", "14", "--mode", mode, "--budget", "10", "--json"
+        )
+        assert rc == 1 and json.loads(out)["results"]["F"] is None, mode
+    rc, out, _ = run(
+        capsys, "fermat", "--index", "13", "--mode", "lucas", "--budget", "10", "--json"
+    )
+    assert json.loads(out)["results"]["F"] == 2**8192 + 1
+
+
 def test_bench_csv(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     rc, out, _ = run(
