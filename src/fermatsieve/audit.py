@@ -220,11 +220,7 @@ def _lam_outside_interval(x, lam, p):
 
 def _not_a_divisor(x, s, p):
     t = x.t
-    if (
-        (x.pairs[0][0] - 1) % t.divisor_step  # the divisor is off the progression
-        or fermat_numbers.lucas_check(t, s).residue != 0
-        or s > fermat_numbers.divisor_cap(t)
-    ):
+    if fermat_numbers.lucas_check(t, s).residue != 0 or s > fermat_numbers.divisor_cap(t):
         return f"divisor index s={s} fails the membership congruence or its bound"
 
 

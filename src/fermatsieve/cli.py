@@ -27,6 +27,10 @@ EXIT_INCONSISTENT = 3
 #: conversion that CPython sets by default, so from there on "F" is null.
 JSON_F_MAX_INDEX = 13
 
+#: Largest --prime-bound accepted; primes_up_to allocates a byte per integer
+#: up to the bound, so this caps its sieve at 1 MiB.
+PRIME_BOUND_MAX = 1 << 20
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -68,6 +72,8 @@ def cmd_factor(args) -> int:
     n = _resolve_generator(args)
     if n is None:
         return _fail("need --n >= 1 or --N of the form 4n^2+1 with n >= 1")
+    if args.prime_bound > PRIME_BOUND_MAX:
+        return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
     t = quadform.make_target(n)
     primes = quadform.default_filter_primes(t, args.prime_bound)
     pairs = quadform.sieve_enumerate(
@@ -197,6 +203,8 @@ def cmd_audit(args) -> int:
         return _fail("--fermat-indices must be a comma-separated list of integers")
     if any(i < 0 or i > 30 for i in fermat_indices):
         return _fail("--fermat-indices must lie in [0, 30]")
+    if args.prime_bound > PRIME_BOUND_MAX:
+        return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
 
     reports = []
     quad = selected & audit.QUAD_CLAIMS

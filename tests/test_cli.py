@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
 import json
+import time
 
 import pytest
 
-from fermatsieve import cli
+from fermatsieve import arith, cli
 
 
 def run(capsys, *argv):
@@ -56,9 +57,64 @@ def test_factor_json_bytes_stable(capsys):
 
 def test_factor_heuristic_filters_not_a_verdict(capsys):
     # n=30: heuristic filters lose the only witness; must not claim prime
+    # (13 <= B = 15, so the trial division of the sound search would find it)
     rc, out, _ = run(capsys, "factor", "--n", "30", "--heuristic-filters")
     assert rc == 1
     assert "not a primality verdict" in out
+    rc, out, _ = run(capsys, "factor", "--n", "30", "--heuristic-filters", "--json")
+    assert rc == 1
+    results = json.loads(out)["results"]
+    assert (results["verdict"], results["pairs"]) == ("unknown", [])
+
+
+def test_factor_small_factor_of_large_target_is_fast(capsys):
+    # N = 4*100000^2 + 1 = 13 * 3076923077: the paper's interval holds 1e9 u
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "factor", "--n", "100000", "--json")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert json.loads(out)["results"]["pairs"] == [
+        {"a": 13, "b": 3076923077, "u": 192307693, "center": 1538461545, "d": 1538461532}
+    ]
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+def test_factor_large_prime_verdict_is_fast(capsys):
+    N = 4 * 1000012**2 + 1
+    assert arith.is_prime(N)  # exact below 2^64
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "factor", "--n", "1000012", "--json")
+    elapsed = time.perf_counter() - start
+    assert rc == 1
+    results = json.loads(out)["results"]
+    assert (results["verdict"], results["pairs"]) == ("prime", [])
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "--n", "4"),
+        ("audit", "--range", "1:2", "--claims", "E4"),
+    ],
+)
+@pytest.mark.parametrize("bound", [cli.PRIME_BOUND_MAX + 1, 10**12])
+def test_prime_bound_above_cap_exits_2_before_sieving(monkeypatch, capsys, argv, bound):
+    def no_sieve(limit):
+        raise AssertionError(f"primes_up_to({limit}) called")
+
+    monkeypatch.setattr(arith, "primes_up_to", no_sieve)
+    rc, out, err = run(capsys, *argv, "--prime-bound", str(bound))
+    assert rc == 2
+    assert out == ""
+    assert f"--prime-bound must be <= {cli.PRIME_BOUND_MAX}" in err
+
+
+def test_prime_bound_at_cap_is_accepted(capsys):
+    bound = str(cli.PRIME_BOUND_MAX)
+    rc, out, _ = run(capsys, "audit", "--range", "1:2", "--claims", "CE", "--prime-bound", bound)
+    assert rc == 0
+    assert out == "CE: instances=1 violations=0\n"
 
 
 def test_factor_generic_worked_example(capsys):

@@ -240,6 +240,61 @@ def test_qr_filters_keep_first_pair_full_range():
         assert filtered, t.n
 
 
+def _full_interval_pairs(t):
+    """want_all pairs of an unfiltered scan over the paper's whole interval."""
+    span = quadform.u_range(t)
+    screens = arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)
+    pairs = []
+    for u in arith.sieve_progression(span.start, span.stop, screens):
+        cand = quadform.try_candidate(t, u)
+        if cand.root is not None:
+            pairs.append(quadform.pair_from_candidate(t, cand))
+    return pairs
+
+
+def _as_tuples(pairs):
+    return [(p.a, p.b, p.witness_u, p.d) for p in pairs]
+
+
+def test_crossover_matches_full_interval_scan():
+    for n in range(1, 1001):
+        t = quadform.make_target(n)
+        assert quadform.sieve_enumerate(t, (), want_all=True) == _full_interval_pairs(t), n
+
+
+def test_crossover_matches_oracle_pairs_to_3000():
+    # The full-interval scan returns every proper pair (a, b), ascending in
+    # u = ((a+b)/2 - offset)/8 with gap d = (b-a)/2 (the interval holds
+    # every pair: claims E2/O2); built here from the oracle's pairs, it
+    # covers n <= 3000 at a fraction of that scan's cost.
+    for n in range(1, 3001):
+        t = quadform.make_target(n)
+        oracle = [] if n == 1 else audit.proper_factor_pairs(t.N)
+        expected = [
+            (a, b, ((a + b) // 2 - t.offset) // 8, (b - a) // 2) for a, b in reversed(oracle)
+        ]
+        assert _as_tuples(quadform.sieve_enumerate(t, (), want_all=True)) == expected, n
+        assert _as_tuples(quadform.sieve_enumerate(t, ())) == expected[:1], n
+
+
+def test_crossover_trial_pairs_follow_scan_pairs():
+    # N = 40001 = 13 * 17 * 181, B = 50: the scan finds (181, 221) below the
+    # (51, N/51) split's center, trial division (17, 2353) and (13, 3077)
+    t = quadform.make_target(100)
+    assert _as_tuples(quadform.sieve_enumerate(t, (), want_all=True)) == [
+        (181, 221, 25, 20),
+        (17, 2353, 148, 1168),
+        (13, 3077, 193, 1532),
+    ]
+    # N = 13925 = 5^2 * 557, B = 29: the composite divisor 25 is tried too
+    t = quadform.make_target(59)
+    assert _as_tuples(quadform.sieve_enumerate(t, (), want_all=True)) == [
+        (25, 557, 36, 266),
+        (5, 2785, 174, 1390),
+    ]
+    assert _as_tuples(quadform.sieve_enumerate(t, ())) == [(25, 557, 36, 266)]
+
+
 def test_compositeness_witness_examples():
     assert quadform.compositeness_witness(quadform.make_target(4)).u == 1
     assert quadform.compositeness_witness(quadform.make_target(5)) is None  # 101
