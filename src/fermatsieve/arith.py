@@ -15,6 +15,7 @@ __all__ = [
     "is_perfect_square",
     "nonsquare_classes",
     "sieve_progression",
+    "square_centers",
     "mod_inv",
     "legendre",
     "is_prime",
@@ -156,6 +157,24 @@ def sieve_progression(start: int, stop: int, kills=()):
             i = block.find(1, i + 1)
         start += length
         size = min(2 * size, _BLOCK_CAP)
+
+
+def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):
+    """Yield (u, r) for every u in [start, stop), ascending, outside kills,
+    whose center c = step*u + offset gives c^2 - N = r^2 with c - r > 1.
+
+    This is Fermat's method on one progression of centers: each hit is the
+    proper split N = (c - r)(c + r).  The square screens of
+    nonsquare_classes(N, step, offset) join the kill classes, so only the
+    u they leave reach the exact square test; negative discriminants are
+    never squares.
+    """
+    kills = [*kills, *nonsquare_classes(N, step, offset)]
+    for u in sieve_progression(start, stop, kills):
+        c = step * u + offset
+        r = is_perfect_square(c * c - N)
+        if r is not None and c - r > 1:
+            yield u, r
 
 
 def mod_inv(a: int, p: int) -> int:

@@ -372,7 +372,8 @@ def _fermat_pair(t, search_budget):
     hit = next(fermat_numbers.lucas_divisors(t, search_budget), None)
     if hit is not None:
         return (hit.divisor, t.value // hit.divisor), None
-    if fermat_numbers.divisor_cap(t) <= search_budget:  # every member below sqrt(F_n) tested
+    # every member below sqrt(F_n) tested: divisor_cap(t) = 2^k - 1 <= search_budget
+    if (search_budget + 1).bit_length() > fermat_numbers.divisor_cap_bits(t):
         return None, f"F_{idx}: prime (no divisor below sqrt, scan complete)"
     return None, f"F_{idx}: skipped, no factorization within search budget {search_budget}"
 

@@ -1,9 +1,12 @@
 """Candidate-count and wall-time comparison of factoring strategies.
 
-Candidate counts are exact and deterministic; wall times are median-of-k
-on a monotonic clock and are reported, never asserted.  A candidate is
-whatever a strategy pays for: a trial divisor, a center of the plain
-scan up to its hit, or a sieve index that survives the residue filters.
+Each strategy times one call: a trial-division loop, fermat_factor, or
+for the QuadInterval strategies the sieve_enumerate that factor runs.
+Candidate counts are exact, deterministic and counted outside the timed
+calls; wall times are median-of-k on a monotonic clock and are reported,
+never asserted.  A candidate is whatever a strategy pays for: a trial
+divisor, a center of the plain scan up to its hit, or a sieve index up
+to the first pair that survives the residue filters.
 """
 
 import enum
@@ -36,47 +39,37 @@ class BenchRow:
 
 
 def _run_trial_division(t: quadform.QuadTarget):
-    N = t.N
-    count = 0
-    d = 3
-    while d * d <= N:
-        count += 1
-        if N % d == 0:
-            return count, (d, N // d)
-        d += 2
-    return count, None
+    divisors = range(3, arith.isqrt(t.N) + 1, 2)
+    for count, d in enumerate(divisors, 1):
+        if t.N % d == 0:
+            return count, (d, t.N // d)
+    return len(divisors), None
 
 
-def _run_quad_interval(t, filter_primes, use_heuristic_filters):
-    count = 0
-    for cand in quadform.iter_candidates(t, filter_primes, use_heuristic_filters):
-        count += 1
-        if cand.root is not None:
-            pair = quadform.pair_from_candidate(t, cand)
-            return count, (pair.a, pair.b)
-    return count, None
-
-
-def _runner(strategy: Strategy, t: quadform.QuadTarget):
+def _measure(strategy: Strategy, t: quadform.QuadTarget):
+    """(candidates, pair, timed call) of one strategy on target t."""
     if strategy is Strategy.TRIAL_DIVISION:
-        return lambda: _run_trial_division(t)
+        return *_run_trial_division(t), lambda: _run_trial_division(t)
     if strategy is Strategy.PLAIN_FERMAT:
+        # run_bench admits composite targets only, so the scan splits N;
+        # its candidates are the centers from ceil(sqrt(N)) up to the split
+        split = fermat_generic.fermat_factor(t.N)
+        count = split.c - arith.ceil_sqrt(t.N) + 1
+        return count, (split.a, split.b), lambda: fermat_generic.fermat_factor(t.N)
+    primes = () if strategy is Strategy.QUAD_INTERVAL else quadform.default_filter_primes(t)
+    heuristic = strategy is Strategy.QUAD_INTERVAL_HEURISTIC
 
-        def plain_fermat():
-            # run_bench admits composite targets only, so the scan splits N;
-            # its candidates are the centers from ceil(sqrt(N)) up to the split
-            split = fermat_generic.fermat_factor(t.N)
-            return split.c - arith.ceil_sqrt(t.N) + 1, (split.a, split.b)
+    def run():
+        return quadform.sieve_enumerate(t, primes, heuristic)
 
-        return plain_fermat
-    if strategy is Strategy.QUAD_INTERVAL:
-        return lambda: _run_quad_interval(t, (), False)
-    primes = quadform.default_filter_primes(t)
-    if strategy is Strategy.QUAD_INTERVAL_QR:
-        return lambda: _run_quad_interval(t, primes, False)
-    if strategy is Strategy.QUAD_INTERVAL_HEURISTIC:
-        return lambda: _run_quad_interval(t, primes, True)
-    raise ValueError(f"unknown strategy {strategy}")
+    # the filter survivors from u_min through the first pair's witness u,
+    # or through the whole interval when there is no pair
+    pairs = run()
+    span = quadform.u_range(t)
+    stop = pairs[0].witness_u + 1 if pairs else span.stop
+    kills = quadform.filter_kills(t, primes, heuristic)
+    count = sum(1 for _ in arith.sieve_progression(span.start, stop, kills))
+    return count, (pairs[0].a, pairs[0].b) if pairs else None, run
 
 
 def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
@@ -95,8 +88,7 @@ def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
         if arith.is_prime(t.N):
             raise ValueError(f"target n={n}: N={t.N} is prime; nothing to factor")
         for strategy in chosen:
-            run = _runner(Strategy(strategy), t)
-            count, pair = run()
+            count, pair, run = _measure(Strategy(strategy), t)
             timings = []
             for _ in range(repetitions):
                 start = time.perf_counter_ns()

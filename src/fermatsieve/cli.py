@@ -101,12 +101,14 @@ def cmd_factor(args) -> int:
         print(_envelope("factor", parameters, results))
     else:
         print(f"N = {t.N} = 4*{t.n}^2 + 1 ({t.parity} generator)")
-        for p in pairs:
-            center = quadform.CENTER_STEP * p.witness_u + t.offset
-            print(f"u={p.witness_u} center={center} d={p.d}: {t.N} = {p.a} * {p.b}")
+        for p in results["pairs"]:
+            print(f"u={p['u']} center={p['center']} d={p['d']}: {t.N} = {p['a']} * {p['b']}")
         if not pairs:
             if verdict == "prime":
-                print(f"{t.N} is prime (candidate interval exhausted)")
+                print(
+                    f"{t.N} is prime (trial division up to isqrt(N)/4 and the scan "
+                    "up to the crossover found nothing)"
+                )
             else:
                 print("no factor found; heuristic filters were on, so this is not a primality verdict")
     return EXIT_FOUND if pairs else EXIT_NEGATIVE
@@ -116,6 +118,8 @@ def cmd_factor_generic(args) -> int:
     N = args.N
     if N < 9 or N % 2 == 0:
         return _fail("factor-generic needs odd N >= 9")
+    if args.budget is not None and args.budget < 0:
+        return _fail("--budget must be >= 0")
     outcome = fermat_generic.fermat_factor(N, step_budget=args.budget)
     parameters = {"N": N, "budget": args.budget}
     if isinstance(outcome, fermat_generic.SquareSplit):
@@ -254,6 +258,8 @@ def cmd_fermat(args) -> int:
         return _fail("--index must be >= 0")
     if args.index > 30:
         return _fail("F_n beyond index 30 is not a desk-scale object; refusing")
+    if args.budget < 0:
+        return _fail("--budget must be >= 0")
     if args.mode == "lucas" and args.index < 4:
         return _fail("lucas mode needs index >= 4")
     if args.mode == "lambda" and args.index < 5:

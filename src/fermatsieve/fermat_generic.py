@@ -33,22 +33,16 @@ def fermat_factor(N: int, step_budget: int | None = None) -> SquareSplit | Verdi
 
     The scan stops after c = (N + 9) // 6, the center of the (3, N/3)
     split; any split past that point would need a factor below 3, so an
-    exhausted scan proves N prime.  When step_budget is given, at most
-    that many centers are examined before giving up with
-    Verdict.BUDGET_EXHAUSTED.  Centers whose discriminant the square
-    screens rule out are sieved away in blocks, never tested one by one.
+    exhausted scan proves N prime.  When step_budget (>= 0) is given, at
+    most that many centers are examined before giving up with
+    Verdict.BUDGET_EXHAUSTED.
     """
     if N < 9 or N % 2 == 0:
         raise ValueError("fermat_factor needs odd N >= 9")
-    c = arith.ceil_sqrt(N)
-    limit = (N + 9) // 6
-    if step_budget is not None and limit - c + 1 > step_budget:
-        limit = c + step_budget - 1
-        exhausted: SquareSplit | Verdict = Verdict.BUDGET_EXHAUSTED
-    else:
-        exhausted = Verdict.PRIME
-    for c in arith.sieve_progression(c, limit + 1, arith.nonsquare_classes(N, 1, 0)):
-        d = arith.is_perfect_square(c * c - N)
-        if d is not None and c - d > 1:
-            return SquareSplit(c=c, d=d, a=c - d, b=c + d)
-    return exhausted
+    if step_budget is not None and step_budget < 0:
+        raise ValueError("step_budget must be >= 0")
+    start, last = arith.ceil_sqrt(N), (N + 9) // 6
+    stop = last + 1 if step_budget is None else min(last + 1, start + step_budget)
+    for c, d in arith.square_centers(N, 1, 0, start, stop):
+        return SquareSplit(c=c, d=d, a=c - d, b=c + d)
+    return Verdict.PRIME if stop > last else Verdict.BUDGET_EXHAUSTED

@@ -16,6 +16,7 @@ the s search, but both searches take explicit budgets because anything
 beyond that is hopeless by design, not by accident.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import arith
@@ -28,6 +29,7 @@ __all__ = [
     "make_fermat",
     "lucas_check",
     "divisor_cap",
+    "divisor_cap_bits",
     "lucas_divisors",
     "lucas_search",
     "lambda_interval",
@@ -39,9 +41,13 @@ __all__ = [
 @dataclass(frozen=True)
 class FermatTarget:
     index_n: int
-    value: int  # 2^(2^index_n) + 1
     divisor_step: int  # 2^(index_n + 2)
     center_step: int  # 2^(2*index_n + 3)
+
+    @functools.cached_property
+    def value(self) -> int:
+        """F_n = 2^(2^index_n) + 1, built on first read (128 MiB at index 30)."""
+        return (1 << (1 << self.index_n)) + 1
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,8 @@ class LambdaSearchResult:
 
     hits are the validated candidates (ascending); exhausted means the
     budget cut the scan short of the interval's upper end; examined and
-    skipped count candidates square-tested and candidates removed by
-    filters.
+    skipped count the indices of the scanned range that the heuristic
+    filters keep and drop.
     """
 
     hits: list
@@ -88,7 +94,6 @@ def make_fermat(index_n: int) -> FermatTarget:
         raise ValueError("Fermat index must be >= 0")
     return FermatTarget(
         index_n=index_n,
-        value=(1 << (1 << index_n)) + 1,
         divisor_step=1 << (index_n + 2),
         center_step=1 << (2 * index_n + 3),
     )
@@ -119,26 +124,36 @@ def divisor_cap(t: FermatTarget) -> int:
     isqrt(F_n - 1) = 2^(2^(n-1)), so the cap (isqrt(F_n - 1) >> (n+2)) - 1
     has the closed form 2^(2^(n-1) - n - 2) - 1, without F_n's square root.
     """
+    return (1 << divisor_cap_bits(t)) - 1
+
+
+def divisor_cap_bits(t: FermatTarget) -> int:
+    """k = 2^(n-1) - n - 2 with divisor_cap(t) = 2^k - 1, for comparing a
+    budget with a cap that is a 64 MiB integer at index 30."""
     if t.index_n < 4:
         raise ValueError("divisor-form search needs index >= 4")
-    return (1 << ((1 << (t.index_n - 1)) - t.index_n - 2)) - 1
+    return (1 << (t.index_n - 1)) - t.index_n - 2
 
 
 def lucas_divisors(t: FermatTarget, s_max: int):
     """Yield, ascending and lazily, each s in [1, s_max] whose progression
     member divides F_n.
 
-    s_max is capped at divisor_cap(t): a proper factor below the square
-    root always sits under that cap, and members above it mirror
-    cofactors of ones below.
+    s_max must be >= 0 and is capped at divisor_cap(t): a proper factor
+    below the square root always sits under that cap, and members above
+    it mirror cofactors of ones below.
     """
-    cap = divisor_cap(t)
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0")
+    bits = divisor_cap_bits(t)
+    top = s_max if s_max.bit_length() <= bits else (1 << bits) - 1  # min(s_max, cap)
     exponent = _membership_exponent(t)
     step = t.divisor_step
-    for s in range(1, min(s_max, cap) + 1):
-        divisor = step * s + 1
-        if (pow(2, exponent, divisor) + s * s) % divisor == 0:
-            yield LucasDivisorCandidate(s=s, divisor=divisor, residue=0)
+    return (
+        LucasDivisorCandidate(s=s, divisor=divisor, residue=0)
+        for s, divisor in enumerate(range(step + 1, step * top + 2, step), 1)
+        if (pow(2, exponent, divisor) + s * s) % divisor == 0
+    )
 
 
 def lucas_search(t: FermatTarget, s_max: int) -> list[LucasDivisorCandidate]:
@@ -169,7 +184,7 @@ def lambda_search(
     mod4: bool = False,
     primes_3mod4=(),
 ) -> LambdaSearchResult:
-    """Scan center indices ascending from lam_min, at most lam_budget of them.
+    """Scan at most lam_budget (>= 0) center indices ascending from lam_min.
 
     The optional filters skip lam = 2 mod 4, lam != 1 mod 3, and
     lam = 0 mod p for the given primes p = 3 mod 4.  They are heuristics:
@@ -178,27 +193,20 @@ def lambda_search(
     """
     if t.index_n < 5:
         raise ValueError("center search needs index >= 5")
+    if lam_budget < 0:
+        raise ValueError("lam_budget must be >= 0")
     lam_min, lam_sup = lambda_interval(t)
     stop = min(lam_sup, lam_min + lam_budget)
     kills = [(4, (2,))] if mod4 else []
     if mod3:
         kills.append((3, (0, 2)))
     kills += [(p, (0,)) for p in primes_3mod4 if p % 4 == 3]
-    value = t.value
-    step = t.center_step
     hits = []
-    examined = 0
-    for lam in arith.sieve_progression(lam_min, stop, kills):
-        examined += 1
-        center = step * lam + 1
-        disc = center * center - value
-        root = arith.is_perfect_square(disc)
-        if root is None:
-            continue
-        if center - root <= 1:
-            continue  # trivial split (1, F_n); certifies nothing
-        assert (center - root) * (center + root) == value
-        hits.append(LambdaCandidate(lam=lam, center=center, disc=disc, root=root))
+    for lam, root in arith.square_centers(t.value, t.center_step, 1, lam_min, stop, kills):
+        center = t.center_step * lam + 1
+        assert (center - root) * (center + root) == t.value
+        hits.append(LambdaCandidate(lam=lam, center=center, disc=root * root, root=root))
+    examined = sum(1 for _ in arith.sieve_progression(lam_min, stop, kills))
     skipped = len(range(lam_min, stop)) - examined
     return LambdaSearchResult(
         hits=hits, exhausted=stop < lam_sup, examined=examined, skipped=skipped

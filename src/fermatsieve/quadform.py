@@ -42,7 +42,7 @@ __all__ = [
     "admissible_residues_parametric",
     "admissible_residues_qr",
     "default_filter_primes",
-    "iter_candidates",
+    "filter_kills",
     "sieve_enumerate",
     "compositeness_witness",
     "derive_u",
@@ -187,7 +187,7 @@ def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
     return [p for p in arith.primes_up_to(bound) if p != 2 and t.N % p != 0]
 
 
-def _filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> list:
+def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> list:
     """Kill classes of the QR filters and, when asked, the heuristic skips
     (u = 0 mod p for even n; 4u + 1 = 0, i.e. u = -4^-1 mod p, for odd n)."""
     if any(p < 3 or p % 2 == 0 for p in filter_primes):
@@ -197,19 +197,6 @@ def _filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> 
         skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
         kills += [(p, (skip(p),)) for p in filter_primes if p % 4 == 3]
     return kills
-
-
-def iter_candidates(t: QuadTarget, filter_primes=(), use_heuristic_filters: bool = False):
-    """Yield a Candidate for every u in the interval that survives the filters.
-
-    Filter primes must be odd.  The heuristic skips (u = 0 mod p for even
-    n, 4u + 1 = 0 mod p for odd n, over the filter primes p = 3 mod 4)
-    are applied only when use_heuristic_filters is set.
-    """
-    span = u_range(t)
-    kills = _filter_kills(t, filter_primes, use_heuristic_filters)
-    for u in arith.sieve_progression(span.start, span.stop, kills):
-        yield try_candidate(t, u)
 
 
 #: sieve_enumerate trial-divides B/4 values up to B = isqrt(N) // this and
@@ -259,14 +246,10 @@ def sieve_enumerate(
         # the last u whose center 8u + offset is <= ((B+1) + N/(B+1)) / 2
         last = ((B + 1) ** 2 + t.N - 2 * (B + 1) * t.offset) // (2 * CENTER_STEP * (B + 1))
         stop = min(stop, last + 1)
-    kills = _filter_kills(t, filter_primes, use_heuristic_filters)
-    kills += arith.nonsquare_classes(t.N, CENTER_STEP, t.offset)
+    kills = filter_kills(t, filter_primes, use_heuristic_filters)
     found: list[FactorPair] = []
-    for u in arith.sieve_progression(span.start, stop, kills):
-        cand = try_candidate(t, u)
-        if cand.root is None:
-            continue
-        found.append(pair_from_candidate(t, cand))
+    for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop, kills):
+        found.append(pair_from_candidate(t, try_candidate(t, u)))
         if not want_all:
             return found
     if use_heuristic_filters:
@@ -287,13 +270,9 @@ def compositeness_witness(t: QuadTarget) -> Candidate | None:
     so a hit is a compositeness certificate and None certifies N prime.
     """
     span = u_range(t)
-    screens = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset)
-    for u in arith.sieve_progression(span.start, span.stop, screens):
+    for u, root in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop):
         center = CENTER_STEP * u + t.offset
-        disc = center * center - t.N
-        root = arith.is_perfect_square(disc)
-        if root is not None:
-            return Candidate(u=u, center=center, disc=disc, root=root)
+        return Candidate(u=u, center=center, disc=center * center - t.N, root=root)
     return None
 
 

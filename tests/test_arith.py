@@ -1,5 +1,7 @@
 """Unit and property tests for the integer helpers."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,41 @@ def test_sieve_progression_tests_sparse_classes_per_survivor():
 def test_sieve_progression_rejects_bad_modulus():
     with pytest.raises(ValueError):
         list(arith.sieve_progression(0, 10, [(0, (0,))]))
+
+
+def _plain_square_centers(N, step, offset, start, stop, kills):
+    """square_centers' contract as a plain loop over every u: the u outside
+    the kill classes whose center c gives c^2 - N = r^2 with c - r > 1."""
+    hits = []
+    for u in _survivors(start, stop, kills):
+        c = step * u + offset
+        disc = c * c - N
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if r * r == disc and c - r > 1:
+            hits.append((u, r))
+    return hits
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    # step 1 for the plain walk, 8u + 1 / 8u + 3 for 4n^2 + 1, and the
+    # center steps 2^(2n+3) of F_5 and F_8
+    st.sampled_from([(1, 0), (8, 1), (8, 3), (1 << 13, 1), (1 << 19, 1)]),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=10**7),
+    st.integers(min_value=0, max_value=3 * arith._BLOCK_FIRST + 50),
+    st.integers(min_value=0, max_value=3 * arith._BLOCK_FIRST + 50),
+    _kill_classes,
+)
+def test_square_centers_matches_plain_loop(progression, u0, d, back, length, kills):
+    # N = c0^2 - d^2 plants a square at u0 (the trivial split when d = c0 - 1);
+    # ranges that start below u0 start below sqrt(N) when d is small
+    step, offset = progression
+    c0 = step * u0 + offset
+    N = c0 * c0 - min(d, c0 - 1) ** 2
+    start = max(u0 - back, 0)
+    got = list(arith.square_centers(N, step, offset, start, start + length, kills))
+    assert got == _plain_square_centers(N, step, offset, start, start + length, kills)
 
 
 def test_mod_inv_examples():

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,10 @@ def test_factor_composite(capsys):
 def test_factor_prime_exit_1(capsys):
     rc, out, _ = run(capsys, "factor", "--n", "5")
     assert rc == 1
-    assert "prime" in out
+    assert out.endswith(
+        "101 is prime (trial division up to isqrt(N)/4 and the scan "
+        "up to the crossover found nothing)\n"
+    )
 
 
 def test_factor_rejects_wrong_form(capsys):
@@ -139,6 +143,21 @@ def test_factor_generic_prime_and_budget(capsys):
     assert rc == 1 and "prime" in out
     rc, out, _ = run(capsys, "factor-generic", "--N", "99993", "--budget", "10")
     assert rc == 1 and "budget-exhausted" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor-generic", "--N", "99993"),
+        ("fermat", "--index", "6", "--mode", "lucas"),
+        ("fermat", "--index", "5", "--mode", "lambda"),
+    ],
+)
+def test_negative_budget_exits_2(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--budget", "-3")
+    assert rc == 2
+    assert out == ""
+    assert "--budget must be >= 0" in err
 
 
 def test_factor_generic_rejects_even(capsys):
@@ -283,6 +302,24 @@ def test_fermat_json(capsys):
         {"lambda": 409, "center": 3350529, "pair": [641, 6700417]}
     ]
     assert env["results"]["skipped"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fermat", "--index", "30", "--mode", "lucas", "--budget", "10"),
+        ("audit", "--range", "1:2", "--claims", "L2", "--fermat-indices", "30"),
+    ],
+)
+def test_fermat_index_30_never_builds_F_n(capsys, argv):
+    # F_30 is a 128 MiB integer; neither search reads it
+    tracemalloc.start()
+    try:
+        run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak >> 20} MiB"
 
 
 def test_fermat_json_omits_F_past_index_13(capsys):

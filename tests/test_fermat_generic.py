@@ -39,6 +39,9 @@ def test_budget():
     assert (out.a, out.b) == (3, 33331)
     # a budget larger than the full scan still yields the prime verdict
     assert fermat_generic.fermat_factor(9973, step_budget=10**9) is Verdict.PRIME
+    assert fermat_generic.fermat_factor(n, step_budget=0) is Verdict.BUDGET_EXHAUSTED
+    with pytest.raises(ValueError):
+        fermat_generic.fermat_factor(n, step_budget=-3)
 
 
 def _balanced_divisor(N):

@@ -87,6 +87,22 @@ def test_lucas_divisors_is_lazy():
     assert next(hits).s == 1071
 
 
+def test_lucas_search_never_builds_F_n():
+    # F_30 is a 2^30-bit integer; membership is tested mod each candidate
+    t = fn.make_fermat(30)
+    assert fn.lucas_search(t, 10) == []
+    assert "value" not in vars(t)
+
+
+def test_searches_reject_negative_budgets():
+    with pytest.raises(ValueError):
+        fn.lucas_divisors(fn.make_fermat(6), -3)  # at the call, not at the first hit
+    with pytest.raises(ValueError):
+        fn.lambda_search(fn.make_fermat(5), -3)
+    out = fn.lambda_search(fn.make_fermat(5), 0)
+    assert (out.hits, out.exhausted, out.examined, out.skipped) == ([], True, 0, 0)
+
+
 def test_lambda_interval():
     assert fn.lambda_interval(fn.make_fermat(5)) == (8, 4096)
     assert fn.lambda_interval(fn.make_fermat(6))[1] == 1 << 41
