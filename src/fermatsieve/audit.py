@@ -28,7 +28,7 @@ Claim identifiers, one per auditable statement and per entry of ``CLAIMS``:
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import arith, fermat_numbers, quadform
 
@@ -112,10 +112,26 @@ def l1_witness(t: quadform.QuadTarget) -> int | None:
     return None
 
 
+@dataclass(frozen=True, slots=True)
+class _MaskKey:
+    """What the admissible residues mod p depend on; t builds them on a miss."""
+
+    p: int
+    residue: int  # N mod p
+    offset: int
+    t: quadform.QuadTarget = field(compare=False)
+
+
+@lru_cache(maxsize=4096)
+def _admissible_mask(key: _MaskKey) -> bytes:
+    """Byte r is 1 when r is in admissible_residues_parametric(key.t, key.p)."""
+    residues = quadform.admissible_residues_parametric(key.t, key.p)
+    return bytes(r in residues for r in range(key.p))
+
+
 class _Generator:
     """Generator target n with what its claims share, each worked out at
-    most once: the oracle's factor pairs, the interval scan's witness and
-    the admissible residue sets."""
+    most once: the oracle's factor pairs and the interval scan's witness."""
 
     index_name = "u"  # how a congruence claim's detail names the index
 
@@ -123,7 +139,6 @@ class _Generator:
         self.t = quadform.make_target(n)
         self.n, self.N = n, self.t.N
         self.family = "even" if self.t.offset == 1 else "odd"
-        self._admissible: dict[int, set[int]] = {}
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -132,11 +147,6 @@ class _Generator:
     @cached_property
     def witness(self) -> quadform.Candidate | None:
         return quadform.compositeness_witness(self.t)
-
-    def admissible(self, p: int) -> set[int]:
-        if p not in self._admissible:
-            self._admissible[p] = quadform.admissible_residues_parametric(self.t, p)
-        return self._admissible[p]
 
     def target_record(self) -> tuple[tuple[int, int], int]:
         """(pair, u) that a per-target violation records: the oracle's first
@@ -176,7 +186,7 @@ def _4u1_zero_mod_p(x, u, p):
 
 
 def _not_admissible(x, u, p):
-    if u % p not in x.admissible(p):
+    if not _admissible_mask(_MaskKey(p, x.N % p, x.t.offset, x.t))[u % p]:
         return f"u mod {p} = {u % p} not in the admissible residue set"
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from fermatsieve import audit, quadform
+from fermatsieve import arith, audit, quadform
 from fermatsieve.audit import ClaimId, Violation
 
 F5_PAIR = (641, 6700417)
@@ -44,6 +44,9 @@ HOLDING = {
 #: sha256 of the ledger that test_ledger_bytes_pinned serializes, as the
 #: hand-written audit loops wrote it before the claim registry replaced them.
 LEDGER_SHA256 = "db417acfc108a8ad781faa44183915503278fb8905dce60242f60c25618239f4"
+#: The same over n <= 2000, as written before the witness scan gained its
+#: prime screens and the admissible sets their shared cache.
+LEDGER_2000_SHA256 = "dea798ed3adee4c3ff7145860a579ab58510c9eb1488c291864a745e86dba162"
 
 
 def report_map(reports):
@@ -251,11 +254,48 @@ def test_claim_registry_derives_the_claim_sets():
     assert {c.value for c in audit.STRUCTURAL_CLAIMS} == {"E1", "E2", "O1", "O2", "L1", "CE", "CO"}
 
 
-def test_ledger_bytes_pinned():
+def _ledger_sha256(n_max):
     # covers the F_4 "prime" and F_7 "skipped" notes besides the claims
-    reports = audit.audit_claims(1, 400) + audit.audit_fermat([4, 5, 6, 7])
+    reports = audit.audit_claims(1, n_max) + audit.audit_fermat([4, 5, 6, 7])
     text = json.dumps([audit.report_to_dict(r) for r in reports], sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == LEDGER_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_ledger_bytes_pinned():
+    assert _ledger_sha256(400) == LEDGER_SHA256
+
+
+def test_ledger_bytes_pinned_to_2000():
+    assert _ledger_sha256(2000) == LEDGER_2000_SHA256
+
+
+def _admissible_mask(t, p):
+    return audit._admissible_mask(audit._MaskKey(p, t.N % p, t.offset, t))
+
+
+def test_admissible_masks_match_the_parametric_sets():
+    audit._admissible_mask.cache_clear()
+    for n in range(1, 401):
+        t = quadform.make_target(n)
+        for p in arith.primes_up_to(97)[1:]:
+            if t.N % p:
+                mask = _admissible_mask(t, p)
+                expected = quadform.admissible_residues_parametric(t, p)
+                assert {r for r in range(p) if mask[r]} == expected, (n, p)
+
+
+def test_admissible_mask_cache_is_bounded():
+    cache = audit._admissible_mask
+    cache.cache_clear()
+    primes = iter(arith.primes_up_to(10**4)[1:])
+    while cache.cache_info().misses <= cache.cache_info().maxsize:
+        p = next(primes)
+        for n in range(1, 2 * p + 1):  # every N mod p of both parities
+            t = quadform.make_target(n)
+            if t.N % p:
+                _admissible_mask(t, p)
+    info = cache.cache_info()
+    assert info.currsize == info.maxsize
 
 
 def test_audit_determinism():

@@ -331,6 +331,17 @@ def test_compositeness_witness_matches_unsieved_scan():
         assert quadform.compositeness_witness(t) == _reference_witness(t), n
 
 
+def test_compositeness_witness_is_the_smallest_pair_index():
+    # the expected u comes from the oracle's pairs, not from any scan
+    for n in range(1, 2001):
+        t = quadform.make_target(n)
+        pairs = audit.proper_factor_pairs(t.N)
+        w = quadform.compositeness_witness(t)
+        assert (w is None) == (not pairs) == arith.is_prime(t.N), n
+        if pairs:
+            assert w.u == min(quadform.derive_u(t, a, b) for a, b in pairs), n
+
+
 def test_primality_agreement_small_sweep():
     for n in range(1, 300):
         t = quadform.make_target(n)
