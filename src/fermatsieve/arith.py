@@ -74,12 +74,22 @@ def is_perfect_square(x: int) -> int | None:
     return r if r * r == x else None
 
 
+class _Residues(array.array):
+    """The residues of one kill class, packed as unsigned ints.  The kernel
+    keeps the class's alive-bit pattern on it once built, so every later
+    scan with the same cached class reuses it."""
+
+    __slots__ = ("alive",)
+
+
 @functools.lru_cache(maxsize=8192)
-def _nonsquare_residues(q: int, N: int, step: int, offset: int) -> tuple[int, array.array]:
+def _nonsquare_residues(q: int, N: int, step: int, offset: int) -> tuple[int, _Residues]:
     table = _square_residues(q)
     period = q // math.gcd(q, step)
     residues = (u for u in range(period) if not table[((step * u + offset) ** 2 - N) % q])
-    return period, array.array("I", residues)
+    residues = _Residues("I", residues)
+    residues.alive = None
+    return period, residues
 
 
 def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
@@ -93,17 +103,67 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
     is_perfect_square's own screens, so a u they drop is one it would
     reject before its exact root.  Classes are cached by (q, N mod q,
     step mod q, offset mod q), on which alone they depend, with the
-    residues packed in an unsigned-int array.
+    residues packed in an unsigned-int array that also keeps the class's
+    alive-bit pattern once sieve_progression has built it.
     """
     return [_nonsquare_residues(q, N % q, step % q, offset % q) for q in moduli]
 
 
-#: A block costs one slice assignment per sliced residue plus a byte write
-#: per killed u; below a few thousand u the slices dominate, so a smaller
-#: first block would not make a scan that hits at once cheaper.  Blocks
-#: then double up to the cap, which bounds the memory of a long scan.
+#: Blocks start at _BLOCK_FIRST u and double up to _BLOCK_CAP, which bounds
+#: a long scan's memory: a block is a _BLOCK_CAP-bit int, and each AND-ed
+#: class keeps a tile of less than _BLOCK_CAP + 32q bits.  Below a few
+#: thousand u the per-class shifts dominate a block, so a smaller first
+#: block would not make a scan that hits at once cheaper.
 _BLOCK_FIRST = 1 << 12
 _BLOCK_CAP = 1 << 16
+#: Classes are AND-ed into the blocks while a _BLOCK_CAP block is expected
+#: to keep at least this many u.  One AND of a full block costs about as
+#: much as reading back and testing a dozen or two survivors, so past that
+#: point (and for every class with q > _BLOCK_CAP) testing each survivor
+#: against the class's byte mask is cheaper.
+_AND_MIN_KEPT = 16
+
+_ALIVE_DIGITS = bytes.maketrans(b"\x00\x01", b"10")  # drop byte -> alive bit digit
+_NONZERO = bytes(1) + b"\x01" * 255  # translate table: nonzero byte -> 1
+
+
+def _set_bits_table() -> tuple[bytes, ...]:
+    """Entry k lists the set bits of the byte k, ascending."""
+    table = [b""]
+    for bit in range(8):
+        one = bytes((bit,))
+        table += [bits + one for bits in table]
+    return tuple(table)
+
+
+_SET_BITS = _set_bits_table()
+
+
+def _drop_mask(q: int, residues) -> bytearray:
+    """Byte r is 1 when u = r (mod q) is killed by the class (q, residues)."""
+    drop = bytearray(q)
+    for r in residues:
+        drop[r % q] = 1
+    return drop
+
+
+def _alive_bits(q: int, residues) -> int:
+    """Bit r is 1 when u = r (mod q) survives the class (q, residues)."""
+    alive = residues.alive if isinstance(residues, _Residues) else None
+    if alive is None:
+        alive = int(_drop_mask(q, residues).translate(_ALIVE_DIGITS)[::-1], 2)
+        if isinstance(residues, _Residues):
+            residues.alive = alive
+    return alive
+
+
+def _tile(bits: int, width: int, need: int) -> tuple[int, int]:
+    """The periodic pattern bits, width bits long, doubled until it covers
+    at least need bits, with its new width."""
+    while width < need:
+        bits |= bits << width
+        width *= 2
+    return bits, width
 
 
 def sieve_progression(start: int, stop: int, kills=()):
@@ -111,50 +171,60 @@ def sieve_progression(start: int, stop: int, kills=()):
 
     kills holds pairs (q, residues) with q >= 1: u is dropped when
     u = r (mod q) for one of the residues r.  The range is sieved in
-    bytearray blocks; a class is cleared from a block by one slice
-    assignment per residue and the survivors are found with
-    bytearray.find, so the per-u work runs in C.  Classes are sliced in
-    order of the share of u they drop, as long as a class has no more
-    residues than the first block is expected to keep; past that point
-    testing each survivor is cheaper, and the remaining classes are
-    tested that way.
+    bit-packed blocks, bit i standing for u = block start + i.  Classes are
+    taken in order of the share of u they drop.  Each dense class has an
+    alive-bit pattern of period q, tiled by doubling to cover a block plus
+    q bits, and a block is the AND of the tiles shifted to its start.  The
+    survivors are read back in C: the block's bytes are translated to flag
+    the nonzero ones, bytes.find walks those, and a table lists the set
+    bits of each.  Once a full block is expected to keep fewer than
+    _AND_MIN_KEPT u, and for every class with q > _BLOCK_CAP, testing each
+    survivor against the class's byte mask is cheaper, and the remaining
+    classes are tested that way.  The alive-bit patterns of the classes nonsquare_classes
+    returns are built once and kept with its cache.
     """
     kills = [(q, residues) for q, residues in kills if len(residues)]
     if any(q < 1 for q, _ in kills):
         raise ValueError("kill class modulus must be >= 1")
-    if not kills:
+    if not kills or start >= stop:
         yield from range(start, stop)  # nothing to sieve: skip the blocks
         return
     kills.sort(key=lambda k: len(k[1]) / k[0], reverse=True)
-    sliced, tested = [], []
-    kept = _BLOCK_FIRST
-    for q, residues in kills:
-        if len(residues) <= kept:
-            sliced.append((q, residues))
-            kept = kept * (q - len(residues)) // q
-        else:
-            drop = bytearray(q)
-            for r in residues:
-                drop[r % q] = 1
-            tested.append((q, drop))
     size = _BLOCK_FIRST
+    tiles, tested = [], []  # tiles: [q, tile, width in bits]
+    kept = _BLOCK_CAP
+    for q, residues in kills:
+        if kept >= _AND_MIN_KEPT and q <= _BLOCK_CAP:
+            alive = _alive_bits(q, residues)
+            kept = kept * alive.bit_count() // q
+            # whole periods covering the first block's reach, so that each
+            # doubling of the block is met by one doubling of the tile
+            width = -(-(min(size, stop - start) + q - 1) // q) * q
+            tiles.append([q, _tile(alive, q, width)[0] & ((1 << width) - 1), width])
+        else:
+            tested.append((q, _drop_mask(q, residues)))
     while start < stop:
         length = min(size, stop - start)
-        block = bytearray(b"\x01") * length
-        for q, residues in sliced:
-            for r in residues:
-                i = (r - start) % q
-                if i < length:
-                    block[i::q] = bytearray((length - 1 - i) // q + 1)
-        i = block.find(1)
+        block = (1 << length) - 1
+        for tile in tiles:
+            q, bits, width = tile
+            if width < length + q - 1:  # the bits a shift by start % q reaches
+                tile[1:] = _tile(bits, width, length + q - 1)
+                bits = tile[1]
+            block &= bits >> (start % q)
+        data = block.to_bytes((length + 7) // 8, "little")
+        flags = data.translate(_NONZERO)
+        i = flags.find(1)
         while i >= 0:
-            u = start + i
-            for q, drop in tested:
-                if drop[u % q]:
-                    break
-            else:
-                yield u
-            i = block.find(1, i + 1)
+            base = start + 8 * i
+            for bit in _SET_BITS[data[i]]:
+                u = base + bit
+                for q, drop in tested:
+                    if drop[u % q]:
+                        break
+                else:
+                    yield u
+            i = flags.find(1, i + 1)
         start += length
         size = min(2 * size, _BLOCK_CAP)
 

@@ -139,6 +139,15 @@ class _Generator:
         self.t = quadform.make_target(n)
         self.n, self.N = n, self.t.N
         self.family = "even" if self.t.offset == 1 else "odd"
+        self._masks = {}  # p -> admissible mask, looked up once per target
+
+    def admissible_mask(self, p: int) -> bytes:
+        """The p-byte admissible mask of this target (see _admissible_mask)."""
+        mask = self._masks.get(p)
+        if mask is None:
+            key = _MaskKey(p, self.N % p, self.t.offset, self.t)
+            mask = self._masks[p] = _admissible_mask(key)
+        return mask
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -186,7 +195,7 @@ def _4u1_zero_mod_p(x, u, p):
 
 
 def _not_admissible(x, u, p):
-    if not _admissible_mask(_MaskKey(p, x.N % p, x.t.offset, x.t))[u % p]:
+    if not x.admissible_mask(p)[u % p]:
         return f"u mod {p} = {u % p} not in the admissible residue set"
 
 

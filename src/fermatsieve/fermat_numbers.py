@@ -161,18 +161,24 @@ def lucas_search(t: FermatTarget, s_max: int) -> list[LucasDivisorCandidate]:
     return list(lucas_divisors(t, s_max))
 
 
+def _ceil_sqrt(t: FermatTarget) -> int:
+    """ceil(sqrt(F_n)) for n >= 1: F_n = (2^(2^(n-1)))^2 + 1 is one past a
+    square, so the root is 2^(2^(n-1)) + 1, without an isqrt of F_n."""
+    return (1 << (1 << (t.index_n - 1))) + 1
+
+
 def lambda_interval(t: FermatTarget) -> tuple[int, int]:
     """Half-open range [lam_min, lam_sup) of center indices worth scanning.
 
     lam_min puts the center at or above ceil(sqrt(F_n)) (below it the
     discriminant is negative); lam_sup = 2^(2^n - (3n + 5)) bounds the
     center by the largest possible cofactor.  Needs index >= 5 for the
-    upper exponent to be non-negative.
+    upper exponent to be non-negative.  Neither bound builds F_n.
     """
     if t.index_n < 5:
         raise ValueError("center-index interval needs index >= 5")
     step = t.center_step
-    lam_min = (arith.ceil_sqrt(t.value) - 1 + step - 1) // step
+    lam_min = (_ceil_sqrt(t) - 1 + step - 1) // step
     lam_sup = 1 << ((1 << t.index_n) - (3 * t.index_n + 5))
     return lam_min, lam_sup
 

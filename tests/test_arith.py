@@ -168,6 +168,50 @@ def test_sieve_progression_tests_sparse_classes_per_survivor():
     assert got and all(u % 2310 == 0 and u % 97 % 2 == 0 and u % 97 != 2 for u in got)
 
 
+# classes that each drop more than half the u, some residues given as r + q
+_dense_classes = st.lists(
+    st.integers(min_value=3, max_value=64).flatmap(
+        lambda q: st.sets(st.integers(0, q - 1), min_size=q // 2 + 1, max_size=q // 2 + 1).map(
+            lambda rs: (q, tuple(r + q * (r % 3 == 0) for r in sorted(rs)))
+        )
+    ),
+    min_size=12,
+    max_size=14,
+)
+
+# sparse classes with moduli on both sides of the block cap (some residues >= q)
+_large_classes = st.lists(
+    st.integers(min_value=arith._BLOCK_CAP - 64, max_value=2 * arith._BLOCK_CAP + 1).flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(0, 2 * q - 1), min_size=1, max_size=24).map(tuple)
+        )
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=10**12 - 10**6, max_value=10**12 + 10**6),
+    st.integers(min_value=0, max_value=3 * arith._BLOCK_CAP),
+    _dense_classes,
+    st.integers(min_value=arith._BLOCK_CAP - 64, max_value=arith._BLOCK_CAP + 64),
+    st.integers(min_value=0, max_value=2),
+    _large_classes,
+)
+def test_sieve_progression_matches_predicate_past_the_block_cap(
+    start, length, dense, big_q, first, large
+):
+    # twelve classes that each drop more than half the u leave a full
+    # block fewer than 16, so at least the last class is tested per
+    # survivor; the dense class mod big_q (two thirds of the residues) is
+    # AND-ed or tested depending on its place and on whether big_q passes
+    # the block cap
+    kills = [*dense, (big_q, tuple(range(first, 2 * big_q, 3))), *large]
+    stop = start + length
+    assert list(arith.sieve_progression(start, stop, kills)) == _survivors(start, stop, kills)
+
+
 def test_sieve_progression_rejects_bad_modulus():
     with pytest.raises(ValueError):
         list(arith.sieve_progression(0, 10, [(0, (0,))]))

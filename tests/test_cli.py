@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
 import json
+import math
 import time
 import tracemalloc
 
@@ -289,6 +290,19 @@ def test_fermat_precondition_exits(capsys):
     assert rc == 2 and "index >= 4" in err
     rc, _, err = run(capsys, "fermat", "--index", "31", "--mode", "lucas")
     assert rc == 2
+
+
+def test_fermat_lambda_is_bounded_by_index(capsys, monkeypatch):
+    rc, out, _ = run(capsys, "fermat", "--index", "20", "--mode", "lambda", "--budget", "10")
+    assert rc == 1 and "budget exhausted" in out
+
+    def no_isqrt(x):
+        raise AssertionError("took an isqrt")
+
+    # the refusal comes before F_21 or its square root is ever built
+    monkeypatch.setattr(math, "isqrt", no_isqrt)
+    rc, _, err = run(capsys, "fermat", "--index", "21", "--mode", "lambda")
+    assert rc == 2 and "index <= 20" in err
 
 
 def test_fermat_json(capsys):

@@ -110,6 +110,30 @@ def test_lambda_interval():
         fn.lambda_interval(fn.make_fermat(4))
 
 
+def test_lambda_interval_ceil_sqrt_closed_form():
+    # F_n is one past the square of 2^(2^(n-1)), so lam_min needs no isqrt
+    for n in range(5, 17):
+        t = fn.make_fermat(n)
+        assert fn._ceil_sqrt(t) == arith.ceil_sqrt(t.value), n
+    t = fn.make_fermat(30)
+    assert fn.lambda_interval(t)[0] == 1 << ((1 << 29) - 63)
+    assert "value" not in vars(t)
+
+
+def test_lambda_search_counts_match_a_plain_scan():
+    t = fn.make_fermat(7)
+    primes = [p for p in arith.primes_up_to(97) if p % 4 == 3]
+    out = fn.lambda_search(t, 300000, mod3=True, mod4=True, primes_3mod4=primes)
+    lam_min, _ = fn.lambda_interval(t)
+    examined = sum(
+        1
+        for lam in range(lam_min, lam_min + 300000)
+        if lam % 4 != 2 and lam % 3 == 1 and all(lam % p for p in primes)
+    )
+    assert (out.examined, out.skipped) == (examined, 300000 - examined)
+    assert out.hits == [] and out.exhausted
+
+
 def test_lambda_search_f5():
     t = fn.make_fermat(5)
     out = fn.lambda_search(t, 10**4)
