@@ -7,7 +7,6 @@ nothing here can overflow.  All functions are pure.
 import array
 import functools
 import math
-import random
 
 __all__ = [
     "isqrt",
@@ -15,6 +14,7 @@ __all__ = [
     "is_perfect_square",
     "nonsquare_classes",
     "sieve_progression",
+    "sieve_count",
     "square_centers",
     "mod_inv",
     "legendre",
@@ -166,6 +166,54 @@ def _tile(bits: int, width: int, need: int) -> tuple[int, int]:
     return bits, width
 
 
+def _live_classes(kills) -> list:
+    """The kill classes that drop something, densest first; rejects q < 1."""
+    kills = [(q, residues) for q, residues in kills if len(residues)]
+    if any(q < 1 for q, _ in kills):
+        raise ValueError("kill class modulus must be >= 1")
+    kills.sort(key=lambda k: len(k[1]) / k[0], reverse=True)
+    return kills
+
+
+def _split_classes(start: int, stop: int, kills: list) -> tuple[list, list]:
+    """(tiles, tested) for a scan of [start, stop) under the live classes.
+
+    tiles holds [q, tile, width in bits] for each class AND-ed into the
+    blocks, tested (q, byte mask) for each class left to test per survivor.
+    """
+    tiles, tested = [], []
+    kept = _BLOCK_CAP
+    for q, residues in kills:
+        if kept >= _AND_MIN_KEPT and q <= _BLOCK_CAP:
+            alive = _alive_bits(q, residues)
+            kept = kept * alive.bit_count() // q
+            # whole periods covering the first block's reach, so that each
+            # doubling of the block is met by one doubling of the tile
+            width = -(-(min(_BLOCK_FIRST, stop - start) + q - 1) // q) * q
+            tiles.append([q, _tile(alive, q, width)[0] & ((1 << width) - 1), width])
+        else:
+            tested.append((q, _drop_mask(q, residues)))
+    return tiles, tested
+
+
+def _blocks(start: int, stop: int, tiles: list):
+    """Yield (block start, block) over [start, stop), ascending: bit i of
+    the int block is set when block start + i survives every tile's class."""
+    size = _BLOCK_FIRST
+    while start < stop:
+        length = min(size, stop - start)
+        block = (1 << length) - 1
+        for tile in tiles:
+            q, bits, width = tile
+            if width < length + q - 1:  # the bits a shift by start % q reaches
+                tile[1:] = _tile(bits, width, length + q - 1)
+                bits = tile[1]
+            block &= bits >> (start % q)
+        yield start, block
+        start += length
+        size = min(2 * size, _BLOCK_CAP)
+
+
 def sieve_progression(start: int, stop: int, kills=()):
     """Yield every u in [start, stop), ascending, outside all kill classes.
 
@@ -180,39 +228,21 @@ def sieve_progression(start: int, stop: int, kills=()):
     bits of each.  Once a full block is expected to keep fewer than
     _AND_MIN_KEPT u, and for every class with q > _BLOCK_CAP, testing each
     survivor against the class's byte mask is cheaper, and the remaining
-    classes are tested that way.  The alive-bit patterns of the classes nonsquare_classes
-    returns are built once and kept with its cache.
+    classes are tested that way.  The alive-bit patterns of the classes
+    nonsquare_classes returns are built once and kept with its cache.
     """
-    kills = [(q, residues) for q, residues in kills if len(residues)]
-    if any(q < 1 for q, _ in kills):
-        raise ValueError("kill class modulus must be >= 1")
+    kills = _live_classes(kills)
     if not kills or start >= stop:
         yield from range(start, stop)  # nothing to sieve: skip the blocks
         return
-    kills.sort(key=lambda k: len(k[1]) / k[0], reverse=True)
-    size = _BLOCK_FIRST
-    tiles, tested = [], []  # tiles: [q, tile, width in bits]
-    kept = _BLOCK_CAP
-    for q, residues in kills:
-        if kept >= _AND_MIN_KEPT and q <= _BLOCK_CAP:
-            alive = _alive_bits(q, residues)
-            kept = kept * alive.bit_count() // q
-            # whole periods covering the first block's reach, so that each
-            # doubling of the block is met by one doubling of the tile
-            width = -(-(min(size, stop - start) + q - 1) // q) * q
-            tiles.append([q, _tile(alive, q, width)[0] & ((1 << width) - 1), width])
-        else:
-            tested.append((q, _drop_mask(q, residues)))
-    while start < stop:
-        length = min(size, stop - start)
-        block = (1 << length) - 1
-        for tile in tiles:
-            q, bits, width = tile
-            if width < length + q - 1:  # the bits a shift by start % q reaches
-                tile[1:] = _tile(bits, width, length + q - 1)
-                bits = tile[1]
-            block &= bits >> (start % q)
-        data = block.to_bytes((length + 7) // 8, "little")
+    tiles, tested = _split_classes(start, stop, kills)
+    yield from _survivors(_blocks(start, stop, tiles), tested)
+
+
+def _survivors(blocks, tested):
+    """Yield the u of the blocks' set bits that no tested class drops."""
+    for start, block in blocks:
+        data = block.to_bytes((block.bit_length() + 7) // 8, "little")
         flags = data.translate(_NONZERO)
         i = flags.find(1)
         while i >= 0:
@@ -225,8 +255,22 @@ def sieve_progression(start: int, stop: int, kills=()):
                 else:
                     yield u
             i = flags.find(1, i + 1)
-        start += length
-        size = min(2 * size, _BLOCK_CAP)
+
+
+def sieve_count(start: int, stop: int, kills=()) -> int:
+    """len(list(sieve_progression(start, stop, kills))), without the list.
+
+    When every class is AND-ed into the blocks, the survivors are counted
+    per block with int.bit_count and never read back one by one.
+    """
+    kills = _live_classes(kills)
+    if not kills or start >= stop:
+        return len(range(start, stop))
+    tiles, tested = _split_classes(start, stop, kills)
+    blocks = _blocks(start, stop, tiles)
+    if tested:
+        return sum(1 for _ in _survivors(blocks, tested))
+    return sum(block.bit_count() for _, block in blocks)
 
 
 def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):
@@ -310,6 +354,8 @@ def is_prime(x: int, rounds: int = 24) -> bool:
     if x < 1 << 64:
         witnesses = _U64_WITNESSES
     else:
+        import random  # only this branch draws witnesses
+
         rng = random.Random(x)
         witnesses = tuple(rng.randrange(2, x - 1) for _ in range(rounds))
     return all(_is_strong_probable_prime(x, a, d, s) for a in witnesses)

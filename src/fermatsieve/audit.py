@@ -27,8 +27,8 @@ Claim identifiers, one per auditable statement and per entry of ``CLAIMS``:
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import arith, fermat_numbers, quadform
 
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A single claim failure with enough witness data to replay it."""
 
     n: int
@@ -112,14 +111,29 @@ def l1_witness(t: quadform.QuadTarget) -> int | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
 class _MaskKey:
-    """What the admissible residues mod p depend on; t builds them on a miss."""
+    """What the admissible residues mod p depend on; t builds them on a miss.
 
-    p: int
-    residue: int  # N mod p
-    offset: int
-    t: quadform.QuadTarget = field(compare=False)
+    Equal and hashed by (p, residue, offset) alone, so every target with
+    the same N mod p and parity shares one cache entry.
+    """
+
+    __slots__ = ("p", "residue", "offset", "t")
+
+    def __init__(self, p: int, residue: int, offset: int, t: quadform.QuadTarget):
+        # residue is N mod p, offset the target's center offset
+        self.p, self.residue, self.offset, self.t = p, residue, offset, t
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.residue, self.offset) == (other.p, other.residue, other.offset)
+
+    def __hash__(self):
+        return hash((self.p, self.residue, self.offset))
+
+    def __repr__(self):
+        return f"_MaskKey(p={self.p!r}, residue={self.residue!r}, offset={self.offset!r}, t={self.t!r})"
 
 
 @lru_cache(maxsize=4096)
@@ -184,8 +198,8 @@ def _disc_not_square(x, u, p):
 
 
 def _outside_interval(x, u, p):
-    u_min, u_sup = quadform.u_interval(x.t)
-    if not u_min <= u < u_sup:
+    if u not in quadform.u_range(x.t):
+        u_min, u_sup = quadform.u_interval(x.t)
         return f"u={u} outside [{u_min}, {u_sup})"
 
 
@@ -254,8 +268,7 @@ def _p_3mod4(x, p):
 _WITH_3MOD4 = " with {p} = 3 (mod 4)"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One auditable statement; the README's "Claim audit" section has more.
 
     violated(target, index, modulus) gives the detail of a failing instance,
@@ -320,12 +333,36 @@ QUAD_CLAIMS = frozenset(ClaimId) - FERMAT_CLAIMS
 STRUCTURAL_CLAIMS = frozenset(ClaimId(c.id) for c in CLAIMS if c.structural)
 
 
-@dataclass
 class ClaimReport:
-    claim: ClaimId
-    range_tested: str
-    instances_tested: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    """The instances of one claim checked over a range, with its violations."""
+
+    def __init__(
+        self,
+        claim: ClaimId,
+        range_tested: str,
+        instances_tested: int = 0,
+        violations: list[Violation] | None = None,
+    ):
+        self.claim = claim
+        self.range_tested = range_tested
+        self.instances_tested = instances_tested
+        self.violations = [] if violations is None else violations
+
+    def _astuple(self) -> tuple:
+        return self.claim, self.range_tested, self.instances_tested, self.violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (
+            "ClaimReport(claim={!r}, range_tested={!r}, instances_tested={!r}, "
+            "violations={!r})".format(*self._astuple())
+        )
 
 
 def _check(claims, x, reports, odd_primes) -> None:

@@ -12,7 +12,7 @@ to the first pair that survives the residue filters.
 import enum
 import statistics
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith, fermat_generic, quadform
 
@@ -27,8 +27,9 @@ class Strategy(str, enum.Enum):
     QUAD_INTERVAL_HEURISTIC = "QuadIntervalHeuristicFiltered"
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
+    """One strategy's exact candidate count and median wall time on one target."""
+
     strategy: str
     target_n: int
     N: int
@@ -68,7 +69,7 @@ def _measure(strategy: Strategy, t: quadform.QuadTarget):
     span = quadform.u_range(t)
     stop = pairs[0].witness_u + 1 if pairs else span.stop
     kills = quadform.filter_kills(t, primes, heuristic)
-    count = sum(1 for _ in arith.sieve_progression(span.start, stop, kills))
+    count = arith.sieve_count(span.start, stop, kills)
     return count, (pairs[0].a, pairs[0].b) if pairs else None, run
 
 

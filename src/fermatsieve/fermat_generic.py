@@ -6,7 +6,7 @@ N = (c - d)(c + d).
 """
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith
 
@@ -18,8 +18,7 @@ class Verdict(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SquareSplit:
+class SquareSplit(NamedTuple):
     """N = c^2 - d^2 = a * b with a = c - d and b = c + d."""
 
     c: int

@@ -17,7 +17,7 @@ beyond that is hopeless by design, not by accident.
 """
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith
 
@@ -38,11 +38,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FermatTarget:
-    index_n: int
-    divisor_step: int  # 2^(index_n + 2)
-    center_step: int  # 2^(2*index_n + 3)
+    """F_n with the steps of its divisor and center progressions: immutable,
+    equal and hashed by (index_n, divisor_step, center_step)."""
+
+    def __init__(self, index_n: int, divisor_step: int, center_step: int):
+        # divisor_step = 2^(index_n + 2), center_step = 2^(2*index_n + 3)
+        vars(self).update(index_n=index_n, divisor_step=divisor_step, center_step=center_step)
+
+    def _astuple(self) -> tuple[int, int, int]:
+        return self.index_n, self.divisor_step, self.center_step
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "FermatTarget(index_n={!r}, divisor_step={!r}, center_step={!r})".format(
+            *self._astuple()
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @functools.cached_property
     def value(self) -> int:
@@ -50,8 +74,7 @@ class FermatTarget:
         return (1 << (1 << self.index_n)) + 1
 
 
-@dataclass(frozen=True)
-class LucasDivisorCandidate:
+class LucasDivisorCandidate(NamedTuple):
     """An index s with its progression member 2^(n+2) s + 1 and the
     membership residue (0 exactly when the member divides F_n)."""
 
@@ -60,8 +83,7 @@ class LucasDivisorCandidate:
     residue: int
 
 
-@dataclass(frozen=True)
-class LambdaCandidate:
+class LambdaCandidate(NamedTuple):
     """A center index lam with center 2^(2n+3) lam + 1 and discriminant
     center^2 - F_n; root is present when the discriminant is square."""
 
@@ -71,8 +93,7 @@ class LambdaCandidate:
     root: int | None
 
 
-@dataclass(frozen=True)
-class LambdaSearchResult:
+class LambdaSearchResult(NamedTuple):
     """Outcome of a budgeted center scan.
 
     hits are the validated candidates (ascending); exhausted means the
@@ -212,7 +233,7 @@ def lambda_search(
         center = t.center_step * lam + 1
         assert (center - root) * (center + root) == t.value
         hits.append(LambdaCandidate(lam=lam, center=center, disc=root * root, root=root))
-    examined = sum(1 for _ in arith.sieve_progression(lam_min, stop, kills))
+    examined = arith.sieve_count(lam_min, stop, kills)
     skipped = len(range(lam_min, stop)) - examined
     return LambdaSearchResult(
         hits=hits, exhausted=stop < lam_sup, examined=examined, skipped=skipped

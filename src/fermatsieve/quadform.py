@@ -21,8 +21,7 @@ guarantee (the audit module measures how often they misfire) and are off
 by default.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import arith
 
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadTarget:
+class QuadTarget(NamedTuple):
     """A number N = 4n^2 + 1 with its parity decomposition.
 
     n even: N = 16m^2 + 1 with n = 2m, centers 8u + 1.
@@ -67,8 +65,7 @@ class QuadTarget:
         return "even" if self.offset == 1 else "odd"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A sieve index u with its center, discriminant and (maybe) its root."""
 
     u: int
@@ -77,8 +74,7 @@ class Candidate:
     root: int | None
 
 
-@dataclass(frozen=True)
-class FactorPair:
+class FactorPair(NamedTuple):
     """A validated proper factorization N = a * b found at witness u."""
 
     a: int
@@ -97,7 +93,7 @@ def make_target(n: int) -> QuadTarget:
     return QuadTarget(n=n, N=N, m=(n - 1) // 2, offset=3)
 
 
-def u_interval(t: QuadTarget) -> tuple[int, Fraction]:
+def u_interval(t: QuadTarget) -> "tuple[int, Fraction]":
     """Half-open candidate range [u_min, u_sup) for the sieve index u.
 
     u_min is the first index whose center reaches ceil(sqrt(N)), clamped
@@ -105,19 +101,18 @@ def u_interval(t: QuadTarget) -> tuple[int, Fraction]:
     exact as a fraction.  The range is empty when u_min >= u_sup, which
     happens only for small prime N.
     """
-    lo = (arith.ceil_sqrt(t.N) - t.offset + 7) // 8
-    u_min = max(lo, 1)
-    if t.offset == 1:
-        u_sup = Fraction(t.N - 5, 40)
-    else:
-        u_sup = Fraction(t.N - 15, 40)
-    return u_min, u_sup
+    from fractions import Fraction  # only here: u_range keeps it off the import path
+
+    return u_range(t).start, Fraction(t.N - (5 if t.offset == 1 else 15), 40)
 
 
 def u_range(t: QuadTarget) -> range:
-    """The integers of u_interval as a range (empty when the interval is)."""
-    u_min, u_sup = u_interval(t)
-    last = (u_sup.numerator - 1) // u_sup.denominator  # largest int < u_sup
+    """The integers of u_interval as a range (empty when the interval is).
+
+    Worked out in integers: the largest integer below a/40 is (a - 1) // 40.
+    """
+    u_min = max((arith.ceil_sqrt(t.N) - t.offset + 7) // 8, 1)
+    last = (t.N - (5 if t.offset == 1 else 15) - 1) // 40
     return range(u_min, last + 1)
 
 

@@ -212,6 +212,44 @@ def test_sieve_progression_matches_predicate_past_the_block_cap(
     assert list(arith.sieve_progression(start, stop, kills)) == _survivors(start, stop, kills)
 
 
+def _count_matches_walk(start, stop, kills):
+    assert arith.sieve_count(start, stop, kills) == sum(
+        1 for _ in arith.sieve_progression(start, stop, kills)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**15),
+    st.integers(min_value=-3, max_value=3 * arith._BLOCK_FIRST + 50),
+    _kill_classes,
+)
+def test_sieve_count_matches_walk(start, length, kills):
+    # empty kills, empty and reversed ranges and AND-ed classes alone
+    _count_matches_walk(start, start + length, kills)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=10**12 - 10**6, max_value=10**12 + 10**6),
+    st.integers(min_value=0, max_value=3 * arith._BLOCK_CAP),
+    _dense_classes,
+    _large_classes,
+)
+def test_sieve_count_matches_walk_with_tested_classes(start, length, dense, large):
+    # the dense classes leave fewer than _AND_MIN_KEPT u per block, so the
+    # last of them and every class past _BLOCK_CAP are tested per survivor
+    _count_matches_walk(start, start + length, [*dense, *large])
+
+
+def test_sieve_count_examples():
+    assert arith.sieve_count(5, 5) == arith.sieve_count(7, 3) == 0
+    assert arith.sieve_count(0, 10) == 10
+    assert arith.sieve_count(0, 12, [(4, (2,)), (3, (0, 2))]) == 3  # 1, 4 and 7
+    big = arith._BLOCK_CAP + 1  # tested per survivor, never AND-ed
+    assert arith.sieve_count(0, 3 * big, [(big, (0,))]) == 3 * big - 3
+
+
 def test_sieve_progression_rejects_bad_modulus():
     with pytest.raises(ValueError):
         list(arith.sieve_progression(0, 10, [(0, (0,))]))

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -201,7 +200,7 @@ def test_corrupted_violation_fails_reverification(small_ledger):
     e3 = Violation(n=48, N=9217, pair=(13, 709), u=45, modulus=3, detail="")
     assert audit.verify_violation(ClaimId.E3, e3)
     for p in (None, 1, 5, 15):
-        assert not audit.verify_violation(ClaimId.E3, replace(e3, modulus=p)), p
+        assert not audit.verify_violation(ClaimId.E3, e3._replace(modulus=p)), p
     # u = 6 = 0 (mod 3), but n = 11 is odd and E3 is an even-generator claim
     assert not audit.verify_violation(ClaimId.E3, Violation(11, 485, (5, 97), 6, 3, ""))
     # 257 = 2^7 * 2 + 1 does not divide F_5, but (257, 16711681) is no pair of F_5
@@ -216,14 +215,14 @@ def test_corrupted_violation_fails_reverification(small_ledger):
         assert audit.verify_violation(claim, v), claim
         a, b = v.pair
         bad = [
-            replace(v, u=v.u + (v.modulus or 1)),  # same u mod p: only the index check fails
-            replace(v, pair=(a, b + 1)),
-            replace(v, N=v.N + 1),
+            v._replace(u=v.u + (v.modulus or 1)),  # same u mod p: only the index check fails
+            v._replace(pair=(a, b + 1)),
+            v._replace(N=v.N + 1),
         ]
         if v.modulus is not None:
             # p + 2 is a modulus the claim is never checked at: p = 3 (mod 4)
             # gives 1 (mod 4), and the fixed modulus 4 gives 6
-            bad.append(replace(v, modulus=v.modulus + 2))
+            bad.append(v._replace(modulus=v.modulus + 2))
         for corrupted in bad:
             assert not audit.verify_violation(claim, corrupted), (claim, corrupted)
 

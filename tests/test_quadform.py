@@ -44,6 +44,17 @@ def test_target_decomposition_identity():
         assert arith.is_perfect_square(t.N) is None
 
 
+def test_u_range_holds_the_integers_of_u_interval():
+    for n in range(1, 5001):
+        t = quadform.make_target(n)
+        u_min, u_sup = quadform.u_interval(t)
+        span = quadform.u_range(t)
+        if u_min >= u_sup:
+            assert len(span) == 0, n
+        else:
+            assert span.start == u_min and span.stop - 1 < u_sup <= span.stop, n
+
+
 def test_u_interval_examples():
     t = quadform.make_target(4)  # N = 65
     assert quadform.u_interval(t) == (1, Fraction(3, 2))
