@@ -418,16 +418,26 @@ def audit_claims(
     return list(reports.values())
 
 
-def _fermat_pair(t, search_budget):
-    """(pair, None) with the smallest-divisor factor pair the progression
-    search finds, or (None, note) with the ledger note saying why not."""
-    idx = t.index_n
+#: Entries _fermat_divisor keeps: every index the CLI accepts (0 to 30),
+#: twice over.  An entry is a small divisor or a short note, never F_n.
+_FERMAT_DIVISOR_CACHE = 64
+
+
+@lru_cache(maxsize=_FERMAT_DIVISOR_CACHE)
+def _fermat_divisor(idx: int, search_budget: int):
+    """(a, None) with the smallest divisor a of F_idx the progression
+    search finds, or (None, note) with the ledger note saying why not.
+
+    The outcome is a fixed function of (idx, search_budget), so it is kept
+    for the whole process: the search runs once per index and budget.
+    """
+    t = fermat_numbers.make_fermat(idx)
     if idx < 4:
         status = "prime" if arith.is_prime(t.value) else "composite"
         return None, f"F_{idx}: {status}; divisor-form machinery needs index >= 4"
     hit = next(fermat_numbers.lucas_divisors(t, search_budget), None)
     if hit is not None:
-        return (hit.divisor, t.value // hit.divisor), None
+        return hit.divisor, None
     # every member below sqrt(F_n) tested: divisor_cap(t) = 2^k - 1 <= search_budget
     if (search_budget + 1).bit_length() > fermat_numbers.divisor_cap_bits(t):
         return None, f"F_{idx}: prime (no divisor below sqrt, scan complete)"
@@ -442,9 +452,11 @@ def audit_fermat(
     """Audit the Fermat-number claims for the given indices.
 
     Factor pairs are recovered by the divisor-form search, not hardcoded;
-    indices whose factorization is out of reach within search_budget are
-    skipped with a notice in the range description, and indices below the
-    machinery's preconditions are probed and labeled rather than audited.
+    the search runs once per index and budget per process, and nothing
+    else is kept between calls.  Indices whose factorization is out of
+    reach within search_budget are skipped with a notice in the range
+    description, and indices below the machinery's preconditions are
+    probed and labeled rather than audited.
     """
     odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
     claims = [c for c in CLAIMS if c.family == "fermat"]
@@ -452,17 +464,17 @@ def audit_fermat(
     reports = {c.id: ClaimReport(ClaimId(c.id), range_desc) for c in claims}
     notes = []
     for idx in sorted(set(indices)):
-        t = fermat_numbers.make_fermat(idx)
-        pair, note = _fermat_pair(t, search_budget)
-        if pair is None:
+        a, note = _fermat_divisor(idx, search_budget)
+        if a is None:
             notes.append(note)
             continue
+        t = fermat_numbers.make_fermat(idx)
         if idx < 5:
             notes.append(
                 f"F_{idx}: composite; out-of-precondition probe "
                 "(center-index interval needs index >= 5)"
             )
-        _check(claims, _Fermat(t, pair), reports, odd_primes)
+        _check(claims, _Fermat(t, (a, t.value // a)), reports, odd_primes)
     for report in reports.values():
         report.range_tested = "; ".join([report.range_tested, *notes])
     return list(reports.values())

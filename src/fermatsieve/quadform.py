@@ -266,12 +266,17 @@ _WITNESS_SCREENS = (17, 19, 23, 29, 31, 37)
 def compositeness_witness(t: QuadTarget) -> Candidate | None:
     """First u in the interval with a square discriminant, or None.
 
-    The scan drops only u whose discriminant is no square modulo some q, and
-    a square is one modulo every q: a hit certifies N composite, None prime.
+    Every proper factor of N is 1 mod 4, so none is below 5, and for
+    a <= sqrt(N) the center (a + N/a) / 2 falls as a grows: every witness
+    lies at or below the (5, N/5) split's center, and the scan stops there,
+    about halfway through the paper's interval.  It drops only u whose
+    discriminant is no square modulo some q, and a square is one modulo
+    every q: a hit certifies N composite, None prime.
     """
     span = u_range(t)
+    stop = min(span.stop, ((t.N + 25) // 10 - t.offset) // CENTER_STEP + 1)
     screens = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, _WITNESS_SCREENS)
-    for u, root in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop, screens):
+    for u, root in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop, screens):
         center = CENTER_STEP * u + t.offset
         return Candidate(u=u, center=center, disc=center * center - t.N, root=root)
     return None

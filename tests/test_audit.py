@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fermatsieve import arith, audit, quadform
+from fermatsieve import arith, audit, fermat_numbers, quadform
 from fermatsieve.audit import ClaimId, Violation
 
 F5_PAIR = (641, 6700417)
@@ -337,6 +337,27 @@ def test_audit_fermat_probe_and_skip_notes():
     reports = audit.audit_fermat([7])
     assert all(r.instances_tested == 0 for r in reports)
     assert "skipped" in reports[0].range_tested
+
+
+def test_audit_fermat_searches_each_index_once(monkeypatch):
+    first = audit.audit_fermat([5, 6])
+    calls = []
+    real = fermat_numbers.lucas_divisors
+    monkeypatch.setattr(fermat_numbers, "lucas_divisors", lambda *a: calls.append(a) or real(*a))
+    assert audit.audit_fermat([5, 6]) == first
+    assert calls == []
+
+
+def test_fermat_divisor_cache_is_keyed_by_budget():
+    audit.audit_fermat([6])  # F_6 = 274177 * ..., 274177 = 2^8 * 1071 + 1
+    reports = audit.audit_fermat([6], search_budget=1000)
+    assert all(r.instances_tested == 0 for r in reports)
+    assert "F_6: skipped, no factorization within search budget 1000" in reports[0].range_tested
+
+
+def test_fermat_divisor_cache_is_bounded():
+    cache = audit._fermat_divisor
+    assert cache.cache_info().maxsize == audit._FERMAT_DIVISOR_CACHE == 64
 
 
 def test_parse_claim_spec():

@@ -310,6 +310,8 @@ def test_compositeness_witness_examples():
     assert quadform.compositeness_witness(quadform.make_target(4)).u == 1
     assert quadform.compositeness_witness(quadform.make_target(5)) is None  # 101
     assert quadform.compositeness_witness(quadform.make_target(9)).u == 2
+    # 145 = 5 * 29: the only witness is the (5, N/5) split, the last u scanned
+    assert quadform.compositeness_witness(quadform.make_target(6)).u == 2
 
 
 def test_compositeness_witness_matches_candidate_arithmetic():
@@ -340,6 +342,21 @@ def test_compositeness_witness_matches_unsieved_scan():
     for n in range(1, 401):
         t = quadform.make_target(n)
         assert quadform.compositeness_witness(t) == _reference_witness(t), n
+
+
+def test_compositeness_witness_stops_at_the_five_split(monkeypatch):
+    stops = []
+    real = arith.square_centers
+
+    def spy(N, step, offset, start, stop, kills=()):
+        stops.append(stop)
+        return real(N, step, offset, start, stop, kills)
+
+    monkeypatch.setattr(arith, "square_centers", spy)
+    t = quadform.make_target(1402)  # N prime: the scan runs to its end
+    assert quadform.compositeness_witness(t) is None
+    center = (5 + t.N // 5) // 2  # of the (5, N/5) split, rounded down
+    assert stops == [(center - t.offset) // quadform.CENTER_STEP + 1]
 
 
 def test_compositeness_witness_is_the_smallest_pair_index():
