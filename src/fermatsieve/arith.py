@@ -314,8 +314,10 @@ _SMALL_PRIMES = (
 )
 
 # Strong-pseudoprime witnesses that decide primality exactly for every
-# value below 2^64 (the well-known seven-base set).
+# value below 2^64 (the well-known seven-base set); above 2^64 is_prime
+# draws _SPRP_ROUNDS bases at random.
 _U64_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_SPRP_ROUNDS = 24
 
 
 def _is_strong_probable_prime(x: int, base: int, d: int, s: int) -> bool:
@@ -332,7 +334,7 @@ def _is_strong_probable_prime(x: int, base: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(x: int, rounds: int = 24) -> bool:
+def is_prime(x: int) -> bool:
     """Primality test: exact for x < 2^64, strong-probable-prime above.
 
     Above 2^64 the witness bases are drawn from random.Random(x), i.e. the
@@ -357,7 +359,7 @@ def is_prime(x: int, rounds: int = 24) -> bool:
         import random  # only this branch draws witnesses
 
         rng = random.Random(x)
-        witnesses = tuple(rng.randrange(2, x - 1) for _ in range(rounds))
+        witnesses = tuple(rng.randrange(2, x - 1) for _ in range(_SPRP_ROUNDS))
     return all(_is_strong_probable_prime(x, a, d, s) for a in witnesses)
 
 

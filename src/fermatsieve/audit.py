@@ -111,36 +111,15 @@ def l1_witness(t: quadform.QuadTarget) -> int | None:
     return None
 
 
-class _MaskKey:
-    """What the admissible residues mod p depend on; t builds them on a miss.
-
-    Equal and hashed by (p, residue, offset) alone, so every target with
-    the same N mod p and parity shares one cache entry.
-    """
-
-    __slots__ = ("p", "residue", "offset", "t")
-
-    def __init__(self, p: int, residue: int, offset: int, t: quadform.QuadTarget):
-        # residue is N mod p, offset the target's center offset
-        self.p, self.residue, self.offset, self.t = p, residue, offset, t
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.residue, self.offset) == (other.p, other.residue, other.offset)
-
-    def __hash__(self):
-        return hash((self.p, self.residue, self.offset))
-
-    def __repr__(self):
-        return f"_MaskKey(p={self.p!r}, residue={self.residue!r}, offset={self.offset!r}, t={self.t!r})"
-
-
 @lru_cache(maxsize=4096)
-def _admissible_mask(key: _MaskKey) -> bytes:
-    """Byte r is 1 when r is in admissible_residues_parametric(key.t, key.p)."""
-    residues = quadform.admissible_residues_parametric(key.t, key.p)
-    return bytes(r in residues for r in range(key.p))
+def _admissible_mask(p: int, k: int) -> bytes:
+    """Byte r is 1 when r is in admissible_residues_parametric of the odd
+    prime p and generator k.  The set depends on n only through N mod p and
+    the parity of n, which n mod 2p fixes and n -> 2p - n keeps: so every n
+    shares the entry of k = min(n mod 2p, 2p - n mod 2p), 2p in place of 0,
+    one per (N mod p, parity)."""
+    residues = quadform.admissible_residues_parametric(quadform.make_target(k), p)
+    return bytes(r in residues for r in range(p))
 
 
 class _Generator:
@@ -153,15 +132,6 @@ class _Generator:
         self.t = quadform.make_target(n)
         self.n, self.N = n, self.t.N
         self.family = "even" if self.t.offset == 1 else "odd"
-        self._masks = {}  # p -> admissible mask, looked up once per target
-
-    def admissible_mask(self, p: int) -> bytes:
-        """The p-byte admissible mask of this target (see _admissible_mask)."""
-        mask = self._masks.get(p)
-        if mask is None:
-            key = _MaskKey(p, self.N % p, self.t.offset, self.t)
-            mask = self._masks[p] = _admissible_mask(key)
-        return mask
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -187,8 +157,9 @@ class _Fermat:
     family = "fermat"
     index_name = "lam"
 
-    def __init__(self, t: fermat_numbers.FermatTarget, pair: tuple[int, int]):
-        self.t, self.n, self.N, self.pairs = t, t.index_n, t.value, [pair]
+    def __init__(self, t: fermat_numbers.FermatTarget, N: int, pair: tuple[int, int]):
+        # N is t.value, passed in so that it is built once per target
+        self.t, self.n, self.N, self.pairs = t, t.index_n, N, [pair]
 
 
 def _disc_not_square(x, u, p):
@@ -209,7 +180,8 @@ def _4u1_zero_mod_p(x, u, p):
 
 
 def _not_admissible(x, u, p):
-    if not x.admissible_mask(p)[u % p]:
+    k = x.n % (2 * p)
+    if not _admissible_mask(p, min(k, 2 * p - k) or 2 * p)[u % p]:
         return f"u mod {p} = {u % p} not in the admissible residue set"
 
 
@@ -253,7 +225,8 @@ def _lam_outside_interval(x, lam, p):
 
 def _not_a_divisor(x, s, p):
     t = x.t
-    if fermat_numbers.lucas_check(t, s).residue != 0 or s > fermat_numbers.divisor_cap(t):
+    member = fermat_numbers.lucas_check(t, s).residue == 0
+    if not member or s.bit_length() > fermat_numbers.divisor_cap_bits(t):  # s > divisor_cap(t)
         return f"divisor index s={s} fails the membership congruence or its bound"
 
 
@@ -333,57 +306,35 @@ QUAD_CLAIMS = frozenset(ClaimId) - FERMAT_CLAIMS
 STRUCTURAL_CLAIMS = frozenset(ClaimId(c.id) for c in CLAIMS if c.structural)
 
 
-class ClaimReport:
+class ClaimReport(NamedTuple):
     """The instances of one claim checked over a range, with its violations."""
 
-    def __init__(
-        self,
-        claim: ClaimId,
-        range_tested: str,
-        instances_tested: int = 0,
-        violations: list[Violation] | None = None,
-    ):
-        self.claim = claim
-        self.range_tested = range_tested
-        self.instances_tested = instances_tested
-        self.violations = [] if violations is None else violations
-
-    def _astuple(self) -> tuple:
-        return self.claim, self.range_tested, self.instances_tested, self.violations
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return (
-            "ClaimReport(claim={!r}, range_tested={!r}, instances_tested={!r}, "
-            "violations={!r})".format(*self._astuple())
-        )
+    claim: ClaimId
+    range_tested: str
+    instances_tested: int
+    violations: list[Violation]
 
 
-def _check(claims, x, reports, odd_primes) -> None:
-    """Count and judge every instance of the claims on target x, adding
-    each violation to its claim's report."""
+def _check(claims, x, tallies, odd_primes) -> None:
+    """Count and judge every instance of the claims on target x, adding to
+    each claim's tally [instances tested, violations]."""
     indices = {}  # (index function, pair) -> index, shared by the claims
     for c in claims:
         if not c.applies(x):
             continue
-        report = reports[c.id]
+        tally = tallies[c.id]
         moduli = [p for p in odd_primes if c.moduli(x, p)] if callable(c.moduli) else c.moduli
-        for pair in x.pairs if c.index else [None]:
+        pairs = x.pairs if c.index else [None]
+        tally[0] += len(pairs) * len(moduli)
+        for pair in pairs:
             if pair is not None and (c.index, pair) not in indices:
                 indices[c.index, pair] = c.index(x, *pair)
             u = indices.get((c.index, pair))
             for p in moduli:
-                report.instances_tested += 1
                 detail = c.violated(x, u, p)
                 if detail is not None:
                     record = (pair, u) if pair else x.target_record()
-                    report.violations.append(Violation(x.n, x.N, *record, p, detail))
+                    tally[1].append(Violation(x.n, x.N, *record, p, detail))
 
 
 def audit_claims(
@@ -410,12 +361,12 @@ def audit_claims(
     odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
     range_desc = f"n in [{n_min}, {n_max}]; primes <= {prime_bound}"
     chosen = [c for c in CLAIMS if c.id in selected]
-    reports = {c.id: ClaimReport(ClaimId(c.id), range_desc) for c in chosen}
+    tallies = {c.id: [0, []] for c in chosen}
     by_family = {f: [c for c in chosen if c.family == f] for f in ("even", "odd")}
     for n in range(n_min, n_max + 1):
         x = _Generator(n)
-        _check(by_family[x.family], x, reports, odd_primes)
-    return list(reports.values())
+        _check(by_family[x.family], x, tallies, odd_primes)
+    return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
 
 #: Entries _fermat_divisor keeps: every index the CLI accepts (0 to 30),
@@ -460,24 +411,24 @@ def audit_fermat(
     """
     odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
     claims = [c for c in CLAIMS if c.family == "fermat"]
-    range_desc = f"F indices {sorted(set(indices))}; primes <= {prime_bound}"
-    reports = {c.id: ClaimReport(ClaimId(c.id), range_desc) for c in claims}
-    notes = []
+    tallies = {c.id: [0, []] for c in claims}
+    # range_tested: the range, then a note per index skipped or probed
+    notes = [f"F indices {sorted(set(indices))}; primes <= {prime_bound}"]
     for idx in sorted(set(indices)):
         a, note = _fermat_divisor(idx, search_budget)
         if a is None:
             notes.append(note)
             continue
-        t = fermat_numbers.make_fermat(idx)
         if idx < 5:
             notes.append(
                 f"F_{idx}: composite; out-of-precondition probe "
                 "(center-index interval needs index >= 5)"
             )
-        _check(claims, _Fermat(t, (a, t.value // a)), reports, odd_primes)
-    for report in reports.values():
-        report.range_tested = "; ".join([report.range_tested, *notes])
-    return list(reports.values())
+        t = fermat_numbers.make_fermat(idx)
+        F = t.value
+        _check(claims, _Fermat(t, F, (a, F // a)), tallies, odd_primes)
+    range_desc = "; ".join(notes)
+    return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
 
 def verify_violation(claim: ClaimId, v: Violation) -> bool:
@@ -490,8 +441,11 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     reproduce means the ledger itself is corrupt.
     """
     c = _BY_ID[claim]
-    fermat = c.family == "fermat"
-    x = _Fermat(fermat_numbers.make_fermat(v.n), v.pair) if fermat else _Generator(v.n)
+    if c.family == "fermat":
+        t = fermat_numbers.make_fermat(v.n)
+        x = _Fermat(t, t.value, v.pair)
+    else:
+        x = _Generator(v.n)
     if x.family != c.family or x.N != v.N:
         return False
     if c.index is not None:

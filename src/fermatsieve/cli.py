@@ -273,7 +273,6 @@ def cmd_fermat(args) -> int:
         return _fail(f"lambda mode is bounded to index <= {LAMBDA_MAX_INDEX}")
     t = fermat_numbers.make_fermat(args.index)
     json_F = t.value if args.index <= JSON_F_MAX_INDEX else None
-    filters_on = args.filters == "on"
     parameters = {
         "index": args.index,
         "mode": args.mode,
@@ -296,10 +295,7 @@ def cmd_fermat(args) -> int:
                 print(f"no divisor of F_{args.index} with s <= {args.budget}")
         return EXIT_FOUND if hits else EXIT_NEGATIVE
 
-    primes = [p for p in arith.primes_up_to(97) if p % 4 == 3] if filters_on else ()
-    outcome = fermat_numbers.lambda_search(
-        t, args.budget, mod3=filters_on, mod4=filters_on, primes_3mod4=primes
-    )
+    outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
     results = {
         "F": json_F,
         "exhausted": outcome.exhausted,

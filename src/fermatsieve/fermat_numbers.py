@@ -16,7 +16,6 @@ the s search, but both searches take explicit budgets because anything
 beyond that is hopeless by design, not by accident.
 """
 
-import functools
 from typing import NamedTuple
 
 from . import arith
@@ -38,39 +37,16 @@ __all__ = [
 ]
 
 
-class FermatTarget:
-    """F_n with the steps of its divisor and center progressions: immutable,
-    equal and hashed by (index_n, divisor_step, center_step)."""
+class FermatTarget(NamedTuple):
+    """F_n with the steps of its divisor and center progressions."""
 
-    def __init__(self, index_n: int, divisor_step: int, center_step: int):
-        # divisor_step = 2^(index_n + 2), center_step = 2^(2*index_n + 3)
-        vars(self).update(index_n=index_n, divisor_step=divisor_step, center_step=center_step)
+    index_n: int
+    divisor_step: int  # 2^(index_n + 2)
+    center_step: int  # 2^(2*index_n + 3)
 
-    def _astuple(self) -> tuple[int, int, int]:
-        return self.index_n, self.divisor_step, self.center_step
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        return "FermatTarget(index_n={!r}, divisor_step={!r}, center_step={!r})".format(
-            *self._astuple()
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @functools.cached_property
+    @property
     def value(self) -> int:
-        """F_n = 2^(2^index_n) + 1, built on first read (128 MiB at index 30)."""
+        """F_n = 2^(2^index_n) + 1, built on each read (128 MiB at index 30)."""
         return (1 << (1 << self.index_n)) + 1
 
 
@@ -204,19 +180,13 @@ def lambda_interval(t: FermatTarget) -> tuple[int, int]:
     return lam_min, lam_sup
 
 
-def lambda_search(
-    t: FermatTarget,
-    lam_budget: int,
-    mod3: bool = False,
-    mod4: bool = False,
-    primes_3mod4=(),
-) -> LambdaSearchResult:
+def lambda_search(t: FermatTarget, lam_budget: int, filters: bool = False) -> LambdaSearchResult:
     """Scan at most lam_budget (>= 0) center indices ascending from lam_min.
 
-    The optional filters skip lam = 2 mod 4, lam != 1 mod 3, and
-    lam = 0 mod p for the given primes p = 3 mod 4.  They are heuristics:
-    skipped indices are counted, never silently trusted, and the searched
-    hit set on F_5 is known to be filter-independent.
+    With filters on, the scan skips lam = 2 mod 4, lam != 1 mod 3, and
+    lam = 0 mod p for the primes p = 3 mod 4 up to 97.  They are
+    heuristics: skipped indices are counted, never silently trusted, and
+    the searched hit set on F_5 is known to be filter-independent.
     """
     if t.index_n < 5:
         raise ValueError("center search needs index >= 5")
@@ -224,14 +194,15 @@ def lambda_search(
         raise ValueError("lam_budget must be >= 0")
     lam_min, lam_sup = lambda_interval(t)
     stop = min(lam_sup, lam_min + lam_budget)
-    kills = [(4, (2,))] if mod4 else []
-    if mod3:
-        kills.append((3, (0, 2)))
-    kills += [(p, (0,)) for p in primes_3mod4 if p % 4 == 3]
+    kills = []
+    if filters:
+        kills = [(4, (2,)), (3, (0, 2))]
+        kills += [(p, (0,)) for p in arith.primes_up_to(97) if p % 4 == 3]
+    F = t.value
     hits = []
-    for lam, root in arith.square_centers(t.value, t.center_step, 1, lam_min, stop, kills):
+    for lam, root in arith.square_centers(F, t.center_step, 1, lam_min, stop, kills):
         center = t.center_step * lam + 1
-        assert (center - root) * (center + root) == t.value
+        assert (center - root) * (center + root) == F
         hits.append(LambdaCandidate(lam=lam, center=center, disc=root * root, root=root))
     examined = arith.sieve_count(lam_min, stop, kills)
     skipped = len(range(lam_min, stop)) - examined

@@ -194,6 +194,12 @@ def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> l
     return kills
 
 
+def _last_u_to_split(t: QuadTarget, a: int) -> int:
+    """The last u whose center 8u + offset is at or below (a + N/a) / 2,
+    the center of the (a, N/a) split."""
+    return (a * a + t.N - 2 * a * t.offset) // (2 * CENTER_STEP * a)
+
+
 #: sieve_enumerate trial-divides B/4 values up to B = isqrt(N) // this and
 #: scans the u up to the (B+1) split's center, about (N/(2B) - sqrt(N))/8
 #: of them, where the paper's interval holds about N/40.  The search
@@ -238,9 +244,7 @@ def sieve_enumerate(
     stop = span.stop
     if not use_heuristic_filters:
         B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
-        # the last u whose center 8u + offset is <= ((B+1) + N/(B+1)) / 2
-        last = ((B + 1) ** 2 + t.N - 2 * (B + 1) * t.offset) // (2 * CENTER_STEP * (B + 1))
-        stop = min(stop, last + 1)
+        stop = min(stop, _last_u_to_split(t, B + 1) + 1)
     kills = filter_kills(t, filter_primes, use_heuristic_filters)
     found: list[FactorPair] = []
     for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop, kills):
@@ -274,7 +278,7 @@ def compositeness_witness(t: QuadTarget) -> Candidate | None:
     every q: a hit certifies N composite, None prime.
     """
     span = u_range(t)
-    stop = min(span.stop, ((t.N + 25) // 10 - t.offset) // CENTER_STEP + 1)
+    stop = min(span.stop, _last_u_to_split(t, 5) + 1)
     screens = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, _WITNESS_SCREENS)
     for u, root in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop, screens):
         center = CENTER_STEP * u + t.offset

@@ -268,33 +268,19 @@ def test_ledger_bytes_pinned_to_2000():
     assert _ledger_sha256(2000) == LEDGER_2000_SHA256
 
 
-def _admissible_mask(t, p):
-    return audit._admissible_mask(audit._MaskKey(p, t.N % p, t.offset, t))
-
-
 def test_admissible_masks_match_the_parametric_sets():
+    # through E4/O4's own predicate, so the n mod 2p mask key is what is tested
     audit._admissible_mask.cache_clear()
     for n in range(1, 401):
-        t = quadform.make_target(n)
+        x = audit._Generator(n)
         for p in arith.primes_up_to(97)[1:]:
-            if t.N % p:
-                mask = _admissible_mask(t, p)
-                expected = quadform.admissible_residues_parametric(t, p)
-                assert {r for r in range(p) if mask[r]} == expected, (n, p)
+            if x.N % p:
+                admitted = {u for u in range(p) if audit._not_admissible(x, u, p) is None}
+                assert admitted == quadform.admissible_residues_parametric(x.t, p), (n, p)
 
 
 def test_admissible_mask_cache_is_bounded():
-    cache = audit._admissible_mask
-    cache.cache_clear()
-    primes = iter(arith.primes_up_to(10**4)[1:])
-    while cache.cache_info().misses <= cache.cache_info().maxsize:
-        p = next(primes)
-        for n in range(1, 2 * p + 1):  # every N mod p of both parities
-            t = quadform.make_target(n)
-            if t.N % p:
-                _admissible_mask(t, p)
-    info = cache.cache_info()
-    assert info.currsize == info.maxsize
+    assert audit._admissible_mask.cache_info().maxsize == 4096
 
 
 def test_audit_determinism():
@@ -346,6 +332,22 @@ def test_audit_fermat_searches_each_index_once(monkeypatch):
     monkeypatch.setattr(fermat_numbers, "lucas_divisors", lambda *a: calls.append(a) or real(*a))
     assert audit.audit_fermat([5, 6]) == first
     assert calls == []
+
+
+def test_l2_never_builds_the_divisor_cap(monkeypatch):
+    # divisor_cap(t) is a 64 MiB integer at index 30; L2 compares bit lengths
+    def cap(t):
+        raise AssertionError("divisor_cap built")
+
+    monkeypatch.setattr(fermat_numbers, "divisor_cap", cap)
+    reports = report_map(audit.audit_fermat([5, 6]))
+    assert reports[ClaimId.L2].instances_tested == 2
+    assert reports[ClaimId.L2].violations == []
+    F5 = 2**32 + 1
+    assert not audit.verify_violation(ClaimId.L2, Violation(5, F5, F5_PAIR, 5, None, ""))
+    # the cofactor 6700417 = 2^7 * 52347 + 1 divides F_5 but lies past the cap
+    beyond = Violation(5, F5, F5_PAIR[::-1], 52347, None, "")
+    assert audit.verify_violation(ClaimId.L2, beyond)
 
 
 def test_fermat_divisor_cache_is_keyed_by_budget():

@@ -15,6 +15,15 @@ F5_PAIR = (641, 6700417)
 F6_PAIR = (274177, 67280421310721)
 
 
+def _forbid_F_n(monkeypatch):
+    """Make every read of FermatTarget.value fail the test."""
+
+    def built(t):
+        raise AssertionError(f"F_{t.index_n} was built")
+
+    monkeypatch.setattr(fn.FermatTarget, "value", property(built))
+
+
 def test_make_fermat_examples():
     assert fn.make_fermat(0).value == 3
     assert fn.make_fermat(5).value == 4294967297
@@ -87,11 +96,10 @@ def test_lucas_divisors_is_lazy():
     assert next(hits).s == 1071
 
 
-def test_lucas_search_never_builds_F_n():
+def test_lucas_search_never_builds_F_n(monkeypatch):
     # F_30 is a 2^30-bit integer; membership is tested mod each candidate
-    t = fn.make_fermat(30)
-    assert fn.lucas_search(t, 10) == []
-    assert "value" not in vars(t)
+    _forbid_F_n(monkeypatch)
+    assert fn.lucas_search(fn.make_fermat(30), 10) == []
 
 
 def test_searches_reject_negative_budgets():
@@ -110,20 +118,19 @@ def test_lambda_interval():
         fn.lambda_interval(fn.make_fermat(4))
 
 
-def test_lambda_interval_ceil_sqrt_closed_form():
+def test_lambda_interval_ceil_sqrt_closed_form(monkeypatch):
     # F_n is one past the square of 2^(2^(n-1)), so lam_min needs no isqrt
     for n in range(5, 17):
         t = fn.make_fermat(n)
         assert fn._ceil_sqrt(t) == arith.ceil_sqrt(t.value), n
-    t = fn.make_fermat(30)
-    assert fn.lambda_interval(t)[0] == 1 << ((1 << 29) - 63)
-    assert "value" not in vars(t)
+    _forbid_F_n(monkeypatch)
+    assert fn.lambda_interval(fn.make_fermat(30))[0] == 1 << ((1 << 29) - 63)
 
 
 def test_lambda_search_counts_match_a_plain_scan():
     t = fn.make_fermat(7)
     primes = [p for p in arith.primes_up_to(97) if p % 4 == 3]
-    out = fn.lambda_search(t, 300000, mod3=True, mod4=True, primes_3mod4=primes)
+    out = fn.lambda_search(t, 300000, filters=True)
     lam_min, _ = fn.lambda_interval(t)
     examined = sum(
         1
@@ -146,7 +153,7 @@ def test_lambda_search_f5():
 def test_lambda_search_filters_do_not_change_f5():
     t = fn.make_fermat(5)
     plain = fn.lambda_search(t, 10**4)
-    filtered = fn.lambda_search(t, 10**4, mod3=True, mod4=True, primes_3mod4=(3, 7, 11, 19, 23))
+    filtered = fn.lambda_search(t, 10**4, filters=True)
     assert [h.lam for h in plain.hits] == [h.lam for h in filtered.hits] == [409]
     assert filtered.skipped > 0
     assert filtered.examined + filtered.skipped == plain.examined
