@@ -113,15 +113,11 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
 #: a long scan's memory: a block is a _BLOCK_CAP-bit int, and each AND-ed
 #: class keeps a tile of less than _BLOCK_CAP + 32q bits.  Below a few
 #: thousand u the per-class shifts dominate a block, so a smaller first
-#: block would not make a scan that hits at once cheaper.
+#: block would not make a scan that hits at once cheaper.  A class with
+#: q > _BLOCK_CAP, whose tile would outgrow the block, is tested on each
+#: survivor against a q-byte mask instead.
 _BLOCK_FIRST = 1 << 12
 _BLOCK_CAP = 1 << 16
-#: Classes are AND-ed into the blocks while a _BLOCK_CAP block is expected
-#: to keep at least this many u.  One AND of a full block costs about as
-#: much as reading back and testing a dozen or two survivors, so past that
-#: point (and for every class with q > _BLOCK_CAP) testing each survivor
-#: against the class's byte mask is cheaper.
-_AND_MIN_KEPT = 16
 
 _ALIVE_DIGITS = bytes.maketrans(b"\x00\x01", b"10")  # drop byte -> alive bit digit
 _NONZERO = bytes(1) + b"\x01" * 255  # translate table: nonzero byte -> 1
@@ -157,42 +153,40 @@ def _alive_bits(q: int, residues) -> int:
     return alive
 
 
-def _tile(bits: int, width: int, need: int) -> tuple[int, int]:
-    """The periodic pattern bits, width bits long, doubled until it covers
-    at least need bits, with its new width."""
+def _tile(bits: int, q: int, width: int, need: int) -> tuple[int, int]:
+    """The pattern bits of period q, width bits long, doubled until it
+    covers at least need bits, with its new width.  A single period is cut
+    back to the whole periods covering need, so that each later doubling
+    of the block is met by one doubling of the tile."""
+    first = width == q
     while width < need:
         bits |= bits << width
         width *= 2
+    if first:
+        width = -(-need // q) * q
+        bits &= (1 << width) - 1
     return bits, width
 
 
-def _live_classes(kills) -> list:
-    """The kill classes that drop something, densest first; rejects q < 1."""
-    kills = [(q, residues) for q, residues in kills if len(residues)]
-    if any(q < 1 for q, _ in kills):
-        raise ValueError("kill class modulus must be >= 1")
-    kills.sort(key=lambda k: len(k[1]) / k[0], reverse=True)
-    return kills
+def _split_classes(kills) -> tuple[list, list]:
+    """(tiles, tested) for a scan under the classes kills.
 
-
-def _split_classes(start: int, stop: int, kills: list) -> tuple[list, list]:
-    """(tiles, tested) for a scan of [start, stop) under the live classes.
-
-    tiles holds [q, tile, width in bits] for each class AND-ed into the
-    blocks, tested (q, byte mask) for each class left to test per survivor.
+    tiles holds [q, tile, width in bits] for each class with q <= _BLOCK_CAP,
+    AND-ed into the blocks, its tile one period long until _blocks grows it;
+    tested holds (q, byte mask) for each class past the cap, tested per
+    survivor.  Classes that drop nothing are left out, and a class with
+    q < 1 is rejected.
     """
     tiles, tested = [], []
-    kept = _BLOCK_CAP
     for q, residues in kills:
-        if kept >= _AND_MIN_KEPT and q <= _BLOCK_CAP:
-            alive = _alive_bits(q, residues)
-            kept = kept * alive.bit_count() // q
-            # whole periods covering the first block's reach, so that each
-            # doubling of the block is met by one doubling of the tile
-            width = -(-(min(_BLOCK_FIRST, stop - start) + q - 1) // q) * q
-            tiles.append([q, _tile(alive, q, width)[0] & ((1 << width) - 1), width])
-        else:
+        if not len(residues):
+            continue
+        if q < 1:
+            raise ValueError("kill class modulus must be >= 1")
+        if q > _BLOCK_CAP:
             tested.append((q, _drop_mask(q, residues)))
+        else:
+            tiles.append([q, _alive_bits(q, residues), q])
     return tiles, tested
 
 
@@ -206,9 +200,11 @@ def _blocks(start: int, stop: int, tiles: list):
         for tile in tiles:
             q, bits, width = tile
             if width < length + q - 1:  # the bits a shift by start % q reaches
-                tile[1:] = _tile(bits, width, length + q - 1)
+                tile[1:] = _tile(bits, q, width, length + q - 1)
                 bits = tile[1]
             block &= bits >> (start % q)
+            if not block:
+                break  # every u is dropped: the other classes can add nothing
         yield start, block
         start += length
         size = min(2 * size, _BLOCK_CAP)
@@ -219,34 +215,24 @@ def sieve_progression(start: int, stop: int, kills=()):
 
     kills holds pairs (q, residues) with q >= 1: u is dropped when
     u = r (mod q) for one of the residues r.  The range is sieved in
-    bit-packed blocks, bit i standing for u = block start + i.  Classes are
-    taken in order of the share of u they drop.  Each dense class has an
-    alive-bit pattern of period q, tiled by doubling to cover a block plus
-    q bits, and a block is the AND of the tiles shifted to its start.  The
-    survivors are read back in C: the block's bytes are translated to flag
-    the nonzero ones, bytes.find walks those, and a table lists the set
-    bits of each.  Once a full block is expected to keep fewer than
-    _AND_MIN_KEPT u, and for every class with q > _BLOCK_CAP, testing each
-    survivor against the class's byte mask is cheaper, and the remaining
-    classes are tested that way.  The alive-bit patterns of the classes
-    nonsquare_classes returns are built once and kept with its cache.
+    bit-packed blocks, bit i standing for u = block start + i.  Each class
+    with q <= _BLOCK_CAP has an alive-bit pattern of period q, tiled by
+    doubling to cover a block plus q bits when a block first reaches it,
+    and a block is the AND of the tiles shifted to its start, in the order
+    given, up to the first class that leaves it empty.  The survivors are
+    read back in C: the block's bytes are translated to flag the nonzero
+    ones, bytes.find walks those, and a table lists the set bits of each.
+    A class with q > _BLOCK_CAP is tested on each survivor against its
+    byte mask.  The alive-bit patterns of the classes nonsquare_classes
+    returns are built once and kept with its cache.
     """
-    kills = _live_classes(kills)
-    if not kills or start >= stop:
-        yield from range(start, stop)  # nothing to sieve: skip the blocks
-        return
-    tiles, tested = _split_classes(start, stop, kills)
-    yield from _survivors(_blocks(start, stop, tiles), tested)
-
-
-def _survivors(blocks, tested):
-    """Yield the u of the blocks' set bits that no tested class drops."""
-    for start, block in blocks:
+    tiles, tested = _split_classes(kills)
+    for block_start, block in _blocks(start, stop, tiles):
         data = block.to_bytes((block.bit_length() + 7) // 8, "little")
         flags = data.translate(_NONZERO)
         i = flags.find(1)
         while i >= 0:
-            base = start + 8 * i
+            base = block_start + 8 * i
             for bit in _SET_BITS[data[i]]:
                 u = base + bit
                 for q, drop in tested:
@@ -260,17 +246,13 @@ def _survivors(blocks, tested):
 def sieve_count(start: int, stop: int, kills=()) -> int:
     """len(list(sieve_progression(start, stop, kills))), without the list.
 
-    When every class is AND-ed into the blocks, the survivors are counted
-    per block with int.bit_count and never read back one by one.
+    Unless a class has q > _BLOCK_CAP, the survivors are counted per block
+    with int.bit_count and never read back one by one.
     """
-    kills = _live_classes(kills)
-    if not kills or start >= stop:
-        return len(range(start, stop))
-    tiles, tested = _split_classes(start, stop, kills)
-    blocks = _blocks(start, stop, tiles)
+    tiles, tested = _split_classes(kills)
     if tested:
-        return sum(1 for _ in _survivors(blocks, tested))
-    return sum(block.bit_count() for _, block in blocks)
+        return sum(1 for _ in sieve_progression(start, stop, kills))
+    return sum(block.bit_count() for _, block in _blocks(start, stop, tiles))
 
 
 def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):

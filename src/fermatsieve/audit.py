@@ -226,12 +226,20 @@ def _lam_outside_interval(x, lam, p):
 def _not_a_divisor(x, s, p):
     t = x.t
     member = fermat_numbers.lucas_check(t, s).residue == 0
-    if not member or s.bit_length() > fermat_numbers.divisor_cap_bits(t):  # s > divisor_cap(t)
+    if not member or s.bit_length() > fermat_numbers.divisor_cap_bits(t):  # s > the cap 2^k - 1
         return f"divisor index s={s} fails the membership congruence or its bound"
 
 
 def _lam_of_pair(x, a, b):
     return fermat_numbers.lambda_of_pair(x.t, a, b)
+
+
+def _s_of_pair(x, a, b):
+    # a may be either factor: a cofactor past the cap is what the bound half
+    # of L2's predicate judges
+    if min(a, b) <= 1 or a * b != x.N:
+        raise ValueError(f"({a}, {b}) is not a proper factor pair of F_{x.n}")
+    return (a - 1) // x.t.divisor_step
 
 
 def _p_3mod4(x, p):
@@ -291,7 +299,7 @@ CLAIMS = (
     Claim("F3", "fermat", _congruence(0, False, _WITH_3MOD4), index=_lam_of_pair, moduli=_p_3mod4),
     Claim("F4", "fermat", _congruence(2, False), index=_lam_of_pair, moduli=(4,)),
     Claim("F5", "fermat", _congruence(1, True), index=_lam_of_pair, moduli=(3,)),
-    Claim("L2", "fermat", _not_a_divisor, index=lambda x, a, b: (a - 1) // x.t.divisor_step),
+    Claim("L2", "fermat", _not_a_divisor, index=_s_of_pair),
 )
 _BY_ID = {c.id: c for c in CLAIMS}
 
@@ -389,7 +397,7 @@ def _fermat_divisor(idx: int, search_budget: int):
     hit = next(fermat_numbers.lucas_divisors(t, search_budget), None)
     if hit is not None:
         return hit.divisor, None
-    # every member below sqrt(F_n) tested: divisor_cap(t) = 2^k - 1 <= search_budget
+    # every member below sqrt(F_n) tested: the divisor cap 2^k - 1 <= search_budget
     if (search_budget + 1).bit_length() > fermat_numbers.divisor_cap_bits(t):
         return None, f"F_{idx}: prime (no divisor below sqrt, scan complete)"
     return None, f"F_{idx}: skipped, no factorization within search budget {search_budget}"
@@ -441,20 +449,20 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     reproduce means the ledger itself is corrupt.
     """
     c = _BY_ID[claim]
-    if c.family == "fermat":
-        t = fermat_numbers.make_fermat(v.n)
-        x = _Fermat(t, t.value, v.pair)
-    else:
-        x = _Generator(v.n)
-    if x.family != c.family or x.N != v.N:
+    try:
+        (a, b), p = v.pair, v.modulus
+        if c.family == "fermat":
+            t = fermat_numbers.make_fermat(v.n)
+            x = _Fermat(t, t.value, v.pair)
+        else:
+            x = _Generator(v.n)
+        if x.family != c.family or x.N != v.N:
+            return False
+        if c.index is not None and (a * b != x.N or c.index(x, a, b) != v.u):
+            return False
+    except (ValueError, ArithmeticError):
         return False
     if c.index is not None:
-        a, b, p = *v.pair, v.modulus
-        try:
-            if a * b != x.N or c.index(x, a, b) != v.u:
-                return False
-        except (ValueError, ArithmeticError):
-            return False
         if callable(c.moduli):
             if p is None or p < 3 or not arith.is_prime(p) or not c.moduli(x, p):
                 return False
@@ -469,17 +477,8 @@ def report_to_dict(report: ClaimReport) -> dict:
         "claim": report.claim.value,
         "range": report.range_tested,
         "instances": report.instances_tested,
-        "violations": [
-            {
-                "n": v.n,
-                "N": v.N,
-                "pair": [v.pair[0], v.pair[1]],
-                "u": v.u,
-                "modulus": v.modulus,
-                "detail": v.detail,
-            }
-            for v in report.violations
-        ],
+        # n, N, pair (as a list), u, modulus and detail
+        "violations": [{**v._asdict(), "pair": list(v.pair)} for v in report.violations],
     }
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "LambdaSearchResult",
     "make_fermat",
     "lucas_check",
-    "divisor_cap",
     "divisor_cap_bits",
     "lucas_divisors",
     "lucas_search",
@@ -115,18 +114,10 @@ def lucas_check(t: FermatTarget, s: int) -> LucasDivisorCandidate:
     return LucasDivisorCandidate(s=s, divisor=divisor, residue=residue)
 
 
-def divisor_cap(t: FermatTarget) -> int:
-    """Index of the last progression member 2^(n+2) s + 1 below sqrt(F_n).
-
-    isqrt(F_n - 1) = 2^(2^(n-1)), so the cap (isqrt(F_n - 1) >> (n+2)) - 1
-    has the closed form 2^(2^(n-1) - n - 2) - 1, without F_n's square root.
-    """
-    return (1 << divisor_cap_bits(t)) - 1
-
-
 def divisor_cap_bits(t: FermatTarget) -> int:
-    """k = 2^(n-1) - n - 2 with divisor_cap(t) = 2^k - 1, for comparing a
-    budget with a cap that is a 64 MiB integer at index 30."""
+    """k = 2^(n-1) - n - 2: as isqrt(F_n - 1) = 2^(2^(n-1)), the last member
+    2^(n+2) s + 1 below sqrt(F_n) has s = 2^k - 1, the divisor cap.  Compare
+    bit lengths with k: the cap itself is a 64 MiB integer at index 30."""
     if t.index_n < 4:
         raise ValueError("divisor-form search needs index >= 4")
     return (1 << (t.index_n - 1)) - t.index_n - 2
@@ -136,9 +127,9 @@ def lucas_divisors(t: FermatTarget, s_max: int):
     """Yield, ascending and lazily, each s in [1, s_max] whose progression
     member divides F_n.
 
-    s_max must be >= 0 and is capped at divisor_cap(t): a proper factor
-    below the square root always sits under that cap, and members above
-    it mirror cofactors of ones below.
+    s_max must be >= 0 and is capped at the divisor cap 2^k - 1 with
+    k = divisor_cap_bits(t): a proper factor below the square root always
+    sits under that cap, and members above it mirror cofactors of ones below.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatsieve import arith
+from fermatsieve import arith, quadform
 
 
 def test_isqrt_examples():
@@ -158,8 +158,8 @@ def test_sieve_progression_matches_predicate(start, length, kills):
 
 
 def test_sieve_progression_tests_sparse_classes_per_survivor():
-    # after the dense classes mod 2..11 few u are left, so the class mod 97
-    # (given partly by residues >= 97) is tested on each survivor instead
+    # after the dense classes mod 2..11 few u are left; the class mod 97
+    # (given partly by residues >= 97) is AND-ed into those sparse blocks too
     dense = [(q, tuple(range(1, q))) for q in (2, 3, 5, 7, 11)]
     kills = dense + [(97, tuple(range(1, 97, 2)) + (97 + 2,))]
     start, stop = 10**12, 10**12 + 3 * arith._BLOCK_CAP
@@ -203,10 +203,10 @@ def test_sieve_progression_matches_predicate_past_the_block_cap(
     start, length, dense, big_q, first, large
 ):
     # twelve classes that each drop more than half the u leave a full
-    # block fewer than 16, so at least the last class is tested per
-    # survivor; the dense class mod big_q (two thirds of the residues) is
-    # AND-ed or tested depending on its place and on whether big_q passes
-    # the block cap
+    # block fewer than 16, and often none, so later classes meet empty
+    # blocks; the dense class mod big_q (two thirds of the residues) is
+    # AND-ed or tested per survivor depending on whether big_q passes the
+    # block cap
     kills = [*dense, (big_q, tuple(range(first, 2 * big_q, 3))), *large]
     stop = start + length
     assert list(arith.sieve_progression(start, stop, kills)) == _survivors(start, stop, kills)
@@ -237,8 +237,8 @@ def test_sieve_count_matches_walk(start, length, kills):
     _large_classes,
 )
 def test_sieve_count_matches_walk_with_tested_classes(start, length, dense, large):
-    # the dense classes leave fewer than _AND_MIN_KEPT u per block, so the
-    # last of them and every class past _BLOCK_CAP are tested per survivor
+    # the dense classes leave fewer than 16 u per block, often none, and
+    # every class past _BLOCK_CAP is tested per survivor
     _count_matches_walk(start, start + length, [*dense, *large])
 
 
@@ -250,9 +250,30 @@ def test_sieve_count_examples():
     assert arith.sieve_count(0, 3 * big, [(big, (0,))]) == 3 * big - 3
 
 
+def test_many_classes_build_no_byte_mask_once_cached(monkeypatch):
+    # factor --prime-bound 5000 at n = 3001: all 671 classes are AND-ed, and
+    # nonsquare_classes keeps their alive bits, so a second scan builds no
+    # byte mask at all
+    t = quadform.make_target(3001)
+    primes = quadform.default_filter_primes(t, 5000)
+    first = quadform.sieve_enumerate(t, primes)
+    calls = []
+    real = arith._drop_mask
+    monkeypatch.setattr(arith, "_drop_mask", lambda q, residues: calls.append(q) or real(q, residues))
+    assert quadform.sieve_enumerate(t, primes) == first
+    assert calls == []
+    assert [(p.a, p.b, p.witness_u) for p in first] == [(5, 7204801, 450300)]
+
+
 def test_sieve_progression_rejects_bad_modulus():
     with pytest.raises(ValueError):
         list(arith.sieve_progression(0, 10, [(0, (0,))]))
+    # on an empty range too; a class that drops nothing is never looked at
+    with pytest.raises(ValueError):
+        list(arith.sieve_progression(5, 5, [(0, (0,))]))
+    with pytest.raises(ValueError):
+        arith.sieve_count(7, 3, [(-1, (0,))])
+    assert list(arith.sieve_progression(0, 3, [(0, ())])) == [0, 1, 2]
 
 
 def _plain_square_centers(N, step, offset, start, stop, kills):

