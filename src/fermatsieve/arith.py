@@ -1,10 +1,10 @@
 """Exact integer arithmetic helpers shared by the whole toolkit.
 
 Everything works on plain Python ints, so magnitudes are unbounded and
-nothing here can overflow.  All functions are pure.
+nothing here can overflow.  All functions are pure, and their caches hold
+only ints and tuples of ints, which no caller can change.
 """
 
-import array
 import functools
 import math
 
@@ -12,6 +12,7 @@ __all__ = [
     "isqrt",
     "ceil_sqrt",
     "is_perfect_square",
+    "kill_class",
     "nonsquare_classes",
     "sieve_progression",
     "sieve_count",
@@ -74,52 +75,62 @@ def is_perfect_square(x: int) -> int | None:
     return r if r * r == x else None
 
 
-class _Residues(array.array):
-    """The residues of one kill class, packed as unsigned ints.  The kernel
-    keeps the class's alive-bit pattern on it once built, so every later
-    scan with the same cached class reuses it."""
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # keep byte -> binary digit
 
-    __slots__ = ("alive",)
+
+def _pattern(keep: bytes) -> int:
+    """The int whose bit r is set when keep[r] is 1 (every byte 0 or 1)."""
+    return int(keep.translate(_DIGITS)[::-1], 2)
+
+
+def kill_class(q: int, residues) -> tuple[int, int]:
+    """The kill class (q, alive) that drops every u = r (mod q), r in residues.
+
+    Bit r of alive is set when u = r (mod q) survives; residues may lie
+    outside [0, q) and are taken mod q.  This and nonsquare_classes build
+    the classes sieve_progression and sieve_count take.
+    """
+    if q < 1:
+        raise ValueError("kill class modulus must be >= 1")
+    keep = bytearray(b"\x01") * q
+    for r in residues:
+        keep[r % q] = 0
+    return q, _pattern(keep)
 
 
 @functools.lru_cache(maxsize=8192)
-def _nonsquare_residues(q: int, N: int, step: int, offset: int) -> tuple[int, _Residues]:
+def _nonsquare_class(q: int, N: int, step: int, offset: int) -> tuple[int, int]:
     table = _square_residues(q)
     period = q // math.gcd(q, step)
-    residues = (u for u in range(period) if not table[((step * u + offset) ** 2 - N) % q])
-    residues = _Residues("I", residues)
-    residues.alive = None
-    return period, residues
+    keep = bytes([table[((step * u + offset) ** 2 - N) % q] for u in range(period)])
+    return period, _pattern(keep)
 
 
 def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
     """Kill classes of the u whose (step*u + offset)^2 - N is no square mod q.
 
-    One class (period, residues) per modulus q: u is in it when u mod
-    period, with period = q / gcd(q, step), is one of the residues.  A
-    square is a square modulo every q, so no class holds a u whose
-    discriminant is a perfect square; when q divides N every discriminant
-    is a square mod q and the class is empty.  The default moduli are
-    is_perfect_square's own screens, so a u they drop is one it would
-    reject before its exact root.  Classes are cached by (q, N mod q,
-    step mod q, offset mod q), on which alone they depend, with the
-    residues packed in an unsigned-int array that also keeps the class's
-    alive-bit pattern once sieve_progression has built it.
+    One class (period, alive) per modulus q, with period = q / gcd(q, step):
+    bit r of alive is set when u = r (mod period) survives, that is when
+    the discriminant is a square mod q.  A square is a square modulo every
+    q, so no class drops a u whose discriminant is a perfect square; when
+    q divides N every discriminant is a square mod q and every bit is set.
+    The default moduli are is_perfect_square's own screens, so a u they
+    drop is one it would reject before its exact root.  Classes are cached
+    by (q, N mod q, step mod q, offset mod q), on which alone they depend;
+    each is a pair of ints, so no caller can change what the cache holds.
     """
-    return [_nonsquare_residues(q, N % q, step % q, offset % q) for q in moduli]
+    return [_nonsquare_class(q, N % q, step % q, offset % q) for q in moduli]
 
 
 #: Blocks start at _BLOCK_FIRST u and double up to _BLOCK_CAP, which bounds
-#: a long scan's memory: a block is a _BLOCK_CAP-bit int, and each AND-ed
-#: class keeps a tile of less than _BLOCK_CAP + 32q bits.  Below a few
-#: thousand u the per-class shifts dominate a block, so a smaller first
-#: block would not make a scan that hits at once cheaper.  A class with
-#: q > _BLOCK_CAP, whose tile would outgrow the block, is tested on each
-#: survivor against a q-byte mask instead.
+#: a long scan's memory: a block is a _BLOCK_CAP-bit int, and each class
+#: that a block reaches keeps a tile of less than 2(_BLOCK_CAP + q) bits,
+#: about 2q for a class past the cap.  Below a few thousand u the
+#: per-class shifts dominate a block, so a smaller first block would not
+#: make a scan that hits at once cheaper.
 _BLOCK_FIRST = 1 << 12
 _BLOCK_CAP = 1 << 16
 
-_ALIVE_DIGITS = bytes.maketrans(b"\x00\x01", b"10")  # drop byte -> alive bit digit
 _NONZERO = bytes(1) + b"\x01" * 255  # translate table: nonzero byte -> 1
 
 
@@ -133,24 +144,6 @@ def _set_bits_table() -> tuple[bytes, ...]:
 
 
 _SET_BITS = _set_bits_table()
-
-
-def _drop_mask(q: int, residues) -> bytearray:
-    """Byte r is 1 when u = r (mod q) is killed by the class (q, residues)."""
-    drop = bytearray(q)
-    for r in residues:
-        drop[r % q] = 1
-    return drop
-
-
-def _alive_bits(q: int, residues) -> int:
-    """Bit r is 1 when u = r (mod q) survives the class (q, residues)."""
-    alive = residues.alive if isinstance(residues, _Residues) else None
-    if alive is None:
-        alive = int(_drop_mask(q, residues).translate(_ALIVE_DIGITS)[::-1], 2)
-        if isinstance(residues, _Residues):
-            residues.alive = alive
-    return alive
 
 
 def _tile(bits: int, q: int, width: int, need: int) -> tuple[int, int]:
@@ -168,31 +161,19 @@ def _tile(bits: int, q: int, width: int, need: int) -> tuple[int, int]:
     return bits, width
 
 
-def _split_classes(kills) -> tuple[list, list]:
-    """(tiles, tested) for a scan under the classes kills.
-
-    tiles holds [q, tile, width in bits] for each class with q <= _BLOCK_CAP,
-    AND-ed into the blocks, its tile one period long until _blocks grows it;
-    tested holds (q, byte mask) for each class past the cap, tested per
-    survivor.  Classes that drop nothing are left out, and a class with
-    q < 1 is rejected.
-    """
-    tiles, tested = [], []
-    for q, residues in kills:
-        if not len(residues):
-            continue
-        if q < 1:
-            raise ValueError("kill class modulus must be >= 1")
-        if q > _BLOCK_CAP:
-            tested.append((q, _drop_mask(q, residues)))
-        else:
-            tiles.append([q, _alive_bits(q, residues), q])
-    return tiles, tested
-
-
-def _blocks(start: int, stop: int, tiles: list):
+def _blocks(start: int, stop: int, kills):
     """Yield (block start, block) over [start, stop), ascending: bit i of
-    the int block is set when block start + i survives every tile's class."""
+    the int block is set when block start + i survives every class.
+
+    Each class gets a tile, one period long until a block first reaches
+    it; a class with q < 1 or alive bits past its period is rejected, on
+    an empty range too.
+    """
+    tiles = []
+    for q, alive in kills:
+        if q < 1 or alive < 0 or alive >> q:
+            raise ValueError("a kill class is (period >= 1, alive bits below the period)")
+        tiles.append([q, alive, q])
     size = _BLOCK_FIRST
     while start < stop:
         length = min(size, stop - start)
@@ -213,46 +194,31 @@ def _blocks(start: int, stop: int, tiles: list):
 def sieve_progression(start: int, stop: int, kills=()):
     """Yield every u in [start, stop), ascending, outside all kill classes.
 
-    kills holds pairs (q, residues) with q >= 1: u is dropped when
-    u = r (mod q) for one of the residues r.  The range is sieved in
-    bit-packed blocks, bit i standing for u = block start + i.  Each class
-    with q <= _BLOCK_CAP has an alive-bit pattern of period q, tiled by
-    doubling to cover a block plus q bits when a block first reaches it,
-    and a block is the AND of the tiles shifted to its start, in the order
-    given, up to the first class that leaves it empty.  The survivors are
-    read back in C: the block's bytes are translated to flag the nonzero
-    ones, bytes.find walks those, and a table lists the set bits of each.
-    A class with q > _BLOCK_CAP is tested on each survivor against its
-    byte mask.  The alive-bit patterns of the classes nonsquare_classes
-    returns are built once and kept with its cache.
+    kills holds classes (q, alive) from kill_class or nonsquare_classes:
+    u is dropped when bit u mod q of alive is clear.  The range is sieved
+    in bit-packed blocks, bit i standing for u = block start + i.  Each
+    class's pattern is tiled by doubling to cover a block plus q bits when
+    a block first reaches it, and a block is the AND of the tiles shifted
+    to its start, in the order given, up to the first class that leaves
+    it empty.  The survivors are read back in C: the block's bytes are
+    translated to flag the nonzero ones, bytes.find walks those, and a
+    table lists the set bits of each.
     """
-    tiles, tested = _split_classes(kills)
-    for block_start, block in _blocks(start, stop, tiles):
+    for block_start, block in _blocks(start, stop, kills):
         data = block.to_bytes((block.bit_length() + 7) // 8, "little")
         flags = data.translate(_NONZERO)
         i = flags.find(1)
         while i >= 0:
             base = block_start + 8 * i
             for bit in _SET_BITS[data[i]]:
-                u = base + bit
-                for q, drop in tested:
-                    if drop[u % q]:
-                        break
-                else:
-                    yield u
+                yield base + bit
             i = flags.find(1, i + 1)
 
 
 def sieve_count(start: int, stop: int, kills=()) -> int:
-    """len(list(sieve_progression(start, stop, kills))), without the list.
-
-    Unless a class has q > _BLOCK_CAP, the survivors are counted per block
-    with int.bit_count and never read back one by one.
-    """
-    tiles, tested = _split_classes(kills)
-    if tested:
-        return sum(1 for _ in sieve_progression(start, stop, kills))
-    return sum(block.bit_count() for _, block in _blocks(start, stop, tiles))
+    """len(list(sieve_progression(start, stop, kills))), without the list:
+    the survivors are counted per block with int.bit_count."""
+    return sum(block.bit_count() for _, block in _blocks(start, stop, kills))
 
 
 def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):

@@ -5,8 +5,11 @@ for the QuadInterval strategies the sieve_enumerate that factor runs.
 Candidate counts are exact, deterministic and counted outside the timed
 calls; wall times are median-of-k on a monotonic clock and are reported,
 never asserted.  A candidate is whatever a strategy pays for: a trial
-divisor, a center of the plain scan up to its hit, or a sieve index up
-to the first pair that survives the residue filters.
+divisor, a center of the plain scan up to its hit, or a sieve index that
+survives the residue filters, up to the first pair or the end of the
+sieve's scan.  The sieve's scan stops at the trial-division crossover
+(quadform.search_bounds), and the trial divisions past it are not
+counted.
 """
 
 import enum
@@ -64,10 +67,10 @@ def _measure(strategy: Strategy, t: quadform.QuadTarget):
         return quadform.sieve_enumerate(t, primes, heuristic)
 
     # the filter survivors from u_min through the first pair's witness u,
-    # or through the whole interval when there is no pair
+    # or through the end of the scan when that comes first
     pairs = run()
-    span = quadform.u_range(t)
-    stop = pairs[0].witness_u + 1 if pairs else span.stop
+    span, _ = quadform.search_bounds(t, heuristic)
+    stop = min(span.stop, pairs[0].witness_u + 1) if pairs else span.stop
     kills = quadform.filter_kills(t, primes, heuristic)
     count = arith.sieve_count(span.start, stop, kills)
     return count, (pairs[0].a, pairs[0].b) if pairs else None, run

@@ -166,6 +166,8 @@ def cmd_candidates(args) -> int:
     }
     if args.prime is not None:
         p = args.prime
+        if p > PRIME_BOUND_MAX:
+            return _fail(f"--prime must be <= {PRIME_BOUND_MAX}")
         if p == 2 or not arith.is_prime(p):
             return _fail("--prime must be an odd prime")
         if t.N % p == 0:

@@ -187,8 +187,8 @@ def lambda_search(t: FermatTarget, lam_budget: int, filters: bool = False) -> La
     stop = min(lam_sup, lam_min + lam_budget)
     kills = []
     if filters:
-        kills = [(4, (2,)), (3, (0, 2))]
-        kills += [(p, (0,)) for p in arith.primes_up_to(97) if p % 4 == 3]
+        kills = [arith.kill_class(4, (2,)), arith.kill_class(3, (0, 2))]
+        kills += [arith.kill_class(p, (0,)) for p in arith.primes_up_to(97) if p % 4 == 3]
     F = t.value
     hits = []
     for lam, root in arith.square_centers(F, t.center_step, 1, lam_min, stop, kills):

@@ -42,6 +42,7 @@ __all__ = [
     "admissible_residues_qr",
     "default_filter_primes",
     "filter_kills",
+    "search_bounds",
     "sieve_enumerate",
     "compositeness_witness",
     "derive_u",
@@ -190,7 +191,7 @@ def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> l
     kills = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, filter_primes)
     if use_heuristic_filters:
         skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
-        kills += [(p, (skip(p),)) for p in filter_primes if p % 4 == 3]
+        kills += [arith.kill_class(p, (skip(p),)) for p in filter_primes if p % 4 == 3]
     return kills
 
 
@@ -208,6 +209,21 @@ def _last_u_to_split(t: QuadTarget, a: int) -> int:
 _CROSSOVER_DIVISOR = 4
 
 
+def search_bounds(t: QuadTarget, use_heuristic_filters: bool = False) -> tuple[range, int]:
+    """(the u that sieve_enumerate scans, its trial-division bound B).
+
+    B = isqrt(N) // _CROSSOVER_DIVISOR, and the scan ends at the (B+1)
+    split's center or at the end of the paper's interval, whichever comes
+    first.  With the heuristic filters the scan covers the whole interval
+    and B = 0: nothing is trial-divided.
+    """
+    span = u_range(t)
+    if use_heuristic_filters:
+        return span, 0
+    B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
+    return range(span.start, min(span.stop, _last_u_to_split(t, B + 1) + 1)), B
+
+
 def sieve_enumerate(
     t: QuadTarget,
     filter_primes=(),
@@ -220,7 +236,8 @@ def sieve_enumerate(
     5 <= a <= B = isqrt(N) // 4 finds every pair with a <= B.  For
     a <= sqrt(N) the center (a + N/a) / 2 falls as a grows, so every other
     pair has its center at or below that of the (B+1, N/(B+1)) split, and
-    the u scan stops there instead of at the end of the paper's interval.
+    the u scan stops there instead of at the end of the paper's interval
+    (search_bounds).
 
     u is scanned ascending, pruned by the QR residue classes of the filter
     primes and by the square screens, and each square discriminant is
@@ -240,20 +257,14 @@ def sieve_enumerate(
     empty list then certifies nothing (a true witness may have been
     skipped).
     """
-    span = u_range(t)
-    stop = span.stop
-    if not use_heuristic_filters:
-        B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
-        stop = min(stop, _last_u_to_split(t, B + 1) + 1)
+    span, B = search_bounds(t, use_heuristic_filters)
     kills = filter_kills(t, filter_primes, use_heuristic_filters)
     found: list[FactorPair] = []
-    for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop, kills):
+    for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop, kills):
         found.append(pair_from_candidate(t, try_candidate(t, u)))
         if not want_all:
             return found
-    if use_heuristic_filters:
-        return found
-    for a in range(B - (B - 1) % 4, 4, -4):  # a = 1 mod 4, descending from B
+    for a in range(B - (B - 1) % 4, 4, -4):  # a = 1 mod 4 from B down; none if B < 5
         if t.N % a == 0:
             u = derive_u(t, a, t.N // a)
             found.append(pair_from_candidate(t, try_candidate(t, u)))

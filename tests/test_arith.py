@@ -80,6 +80,16 @@ def _survivors(start, stop, kills):
     return [u for u in range(start, stop) if all(u % q not in drop for q, drop in classes)]
 
 
+def _classes(kills):
+    """The kernel's form of residue-list classes."""
+    return [arith.kill_class(q, residues) for q, residues in kills]
+
+
+def _residues(classes):
+    """Residue lists of kernel classes: the r whose alive bit is clear."""
+    return [(q, [r for r in range(q) if not alive >> r & 1]) for q, alive in classes]
+
+
 def _block_edges():
     """Offsets from a scan's start where the kernel's blocks meet."""
     edges, at, size = [], 0, arith._BLOCK_FIRST
@@ -120,7 +130,7 @@ def test_sieve_progression_screens_match_plain_scan(N, step, offset, first):
             u for u in range(first, stop) if _passes_screens((step * u + offset) ** 2 - N)
         ]
         assert list(arith.sieve_progression(first, stop, kills)) == expected, length
-        assert expected == _survivors(first, stop, kills), length
+        assert expected == _survivors(first, stop, _residues(kills)), length
 
 
 def test_sieve_progression_long_scan_keeps_every_square():
@@ -129,7 +139,7 @@ def test_sieve_progression_long_scan_keeps_every_square():
     first, stop = 352, 352 + 3 * arith._BLOCK_CAP + 17
     kills = arith.nonsquare_classes(N, 8, 1)
     got = list(arith.sieve_progression(first, stop, kills))
-    assert got == _survivors(first, stop, kills)
+    assert got == _survivors(first, stop, _residues(kills))
     squares = [
         u for u in range(first, stop) if arith.is_perfect_square((8 * u + 1) ** 2 - N) is not None
     ]
@@ -154,7 +164,8 @@ _kill_classes = st.lists(
 )
 def test_sieve_progression_matches_predicate(start, length, kills):
     stop = start + length
-    assert list(arith.sieve_progression(start, stop, kills)) == _survivors(start, stop, kills)
+    got = list(arith.sieve_progression(start, stop, _classes(kills)))
+    assert got == _survivors(start, stop, kills)
 
 
 def test_sieve_progression_tests_sparse_classes_per_survivor():
@@ -163,7 +174,7 @@ def test_sieve_progression_tests_sparse_classes_per_survivor():
     dense = [(q, tuple(range(1, q))) for q in (2, 3, 5, 7, 11)]
     kills = dense + [(97, tuple(range(1, 97, 2)) + (97 + 2,))]
     start, stop = 10**12, 10**12 + 3 * arith._BLOCK_CAP
-    got = list(arith.sieve_progression(start, stop, kills))
+    got = list(arith.sieve_progression(start, stop, _classes(kills)))
     assert got == _survivors(start, stop, kills)
     assert got and all(u % 2310 == 0 and u % 97 % 2 == 0 and u % 97 != 2 for u in got)
 
@@ -204,17 +215,19 @@ def test_sieve_progression_matches_predicate_past_the_block_cap(
 ):
     # twelve classes that each drop more than half the u leave a full
     # block fewer than 16, and often none, so later classes meet empty
-    # blocks; the dense class mod big_q (two thirds of the residues) is
-    # AND-ed or tested per survivor depending on whether big_q passes the
-    # block cap
+    # blocks; the dense class mod big_q (two thirds of the residues) and
+    # the sparse ones are AND-ed on both sides of the block cap, a tile
+    # past the cap growing to about 2q bits
     kills = [*dense, (big_q, tuple(range(first, 2 * big_q, 3))), *large]
     stop = start + length
-    assert list(arith.sieve_progression(start, stop, kills)) == _survivors(start, stop, kills)
+    got = list(arith.sieve_progression(start, stop, _classes(kills)))
+    assert got == _survivors(start, stop, kills)
 
 
 def _count_matches_walk(start, stop, kills):
-    assert arith.sieve_count(start, stop, kills) == sum(
-        1 for _ in arith.sieve_progression(start, stop, kills)
+    classes = _classes(kills)
+    assert arith.sieve_count(start, stop, classes) == sum(
+        1 for _ in arith.sieve_progression(start, stop, classes)
     )
 
 
@@ -238,42 +251,71 @@ def test_sieve_count_matches_walk(start, length, kills):
 )
 def test_sieve_count_matches_walk_with_tested_classes(start, length, dense, large):
     # the dense classes leave fewer than 16 u per block, often none, and
-    # every class past _BLOCK_CAP is tested per survivor
+    # the classes past _BLOCK_CAP are counted per block like the rest
     _count_matches_walk(start, start + length, [*dense, *large])
 
 
 def test_sieve_count_examples():
     assert arith.sieve_count(5, 5) == arith.sieve_count(7, 3) == 0
     assert arith.sieve_count(0, 10) == 10
-    assert arith.sieve_count(0, 12, [(4, (2,)), (3, (0, 2))]) == 3  # 1, 4 and 7
-    big = arith._BLOCK_CAP + 1  # tested per survivor, never AND-ed
-    assert arith.sieve_count(0, 3 * big, [(big, (0,))]) == 3 * big - 3
+    kills = [arith.kill_class(4, (2,)), arith.kill_class(3, (0, 2))]
+    assert arith.sieve_count(0, 12, kills) == 3  # 1, 4 and 7
+    big = arith._BLOCK_CAP + 1  # AND-ed like every class, its tile 2q bits
+    assert arith.sieve_count(0, 3 * big, [arith.kill_class(big, (0,))]) == 3 * big - 3
 
 
-def test_many_classes_build_no_byte_mask_once_cached(monkeypatch):
-    # factor --prime-bound 5000 at n = 3001: all 671 classes are AND-ed, and
-    # nonsquare_classes keeps their alive bits, so a second scan builds no
-    # byte mask at all
+def test_kill_class_examples():
+    assert arith.kill_class(4, (2,)) == (4, 0b1011)
+    assert arith.kill_class(3, (0, 2, 5)) == (3, 0b010)  # 5 = 2 (mod 3)
+    assert arith.kill_class(5, ()) == (5, 31)
+    assert arith.kill_class(1, (7,)) == (1, 0)
+    assert _residues([arith.kill_class(97, (1, 96, 98))]) == [(97, [1, 96])]
+
+
+def test_many_classes_build_no_byte_mask_once_cached():
+    # factor --prime-bound 5000 at n = 3001: a second scan takes all 671
+    # classes from nonsquare_classes' cache and builds none of them again
     t = quadform.make_target(3001)
     primes = quadform.default_filter_primes(t, 5000)
     first = quadform.sieve_enumerate(t, primes)
-    calls = []
-    real = arith._drop_mask
-    monkeypatch.setattr(arith, "_drop_mask", lambda q, residues: calls.append(q) or real(q, residues))
+    misses = arith._nonsquare_class.cache_info().misses
     assert quadform.sieve_enumerate(t, primes) == first
-    assert calls == []
+    assert arith._nonsquare_class.cache_info().misses == misses
     assert [(p.a, p.b, p.witness_u) for p in first] == [(5, 7204801, 450300)]
 
 
+def test_nonsquare_classes_cannot_be_changed_by_a_caller():
+    # a class is a pair of ints: no caller can rewrite what the cache
+    # hands every later caller
+    N = 4 * 1402**2 + 1
+    squares = {r * r % 17 for r in range(17)}
+    alive = sum(1 << r for r in range(17) if ((8 * r + 1) ** 2 - N) % 17 in squares)
+    got = arith.nonsquare_classes(N, 8, 1, [17])
+    assert got == [(17, alive)]
+    with pytest.raises(TypeError):
+        got[0][1][0] = 1
+    with pytest.raises(TypeError):
+        del got[0][1][1:]
+    got[0] = (17, 0)  # the list itself is the caller's own
+    assert arith.nonsquare_classes(N, 8, 1, [17]) == [(17, alive)]
+
+
 def test_sieve_progression_rejects_bad_modulus():
+    for q in (0, -1):
+        with pytest.raises(ValueError):
+            arith.kill_class(q, ())
     with pytest.raises(ValueError):
-        list(arith.sieve_progression(0, 10, [(0, (0,))]))
-    # on an empty range too; a class that drops nothing is never looked at
+        list(arith.sieve_progression(0, 10, [(0, 0)]))
+    # on an empty range too, and for alive bits outside [0, 2^period)
     with pytest.raises(ValueError):
-        list(arith.sieve_progression(5, 5, [(0, (0,))]))
+        list(arith.sieve_progression(5, 5, [(0, 1)]))
     with pytest.raises(ValueError):
-        arith.sieve_count(7, 3, [(-1, (0,))])
-    assert list(arith.sieve_progression(0, 3, [(0, ())])) == [0, 1, 2]
+        arith.sieve_count(7, 3, [(-1, 0)])
+    for bad in ((3, 8), (3, -1)):
+        with pytest.raises(ValueError):
+            arith.sieve_count(0, 10, [bad])
+    # a class that drops nothing leaves every u
+    assert list(arith.sieve_progression(0, 3, [arith.kill_class(1, ())])) == [0, 1, 2]
 
 
 def _plain_square_centers(N, step, offset, start, stop, kills):
@@ -307,7 +349,7 @@ def test_square_centers_matches_plain_loop(progression, u0, d, back, length, kil
     c0 = step * u0 + offset
     N = c0 * c0 - min(d, c0 - 1) ** 2
     start = max(u0 - back, 0)
-    got = list(arith.square_centers(N, step, offset, start, start + length, kills))
+    got = list(arith.square_centers(N, step, offset, start, start + length, _classes(kills)))
     assert got == _plain_square_centers(N, step, offset, start, start + length, kills)
 
 

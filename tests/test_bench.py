@@ -2,7 +2,7 @@
 
 import pytest
 
-from fermatsieve import bench, fermat_generic
+from fermatsieve import arith, bench, fermat_generic, quadform
 from fermatsieve.bench import Strategy
 
 
@@ -46,6 +46,22 @@ def test_sound_strategies_always_find():
     for row in bench.run_bench([4, 9, 16, 30, 56], sound, repetitions=1):
         assert row.found
         assert row.pair[0] * row.pair[1] == row.N
+
+
+def test_sieve_counts_stop_at_the_scan_crossover():
+    # N = 13 * 3076923077: the pair comes from trial division, far past the
+    # scan's stop, and no u of the scan survives the QR filters
+    rows = bench.run_bench(
+        [100000], [Strategy.QUAD_INTERVAL, Strategy.QUAD_INTERVAL_QR], repetitions=1
+    )
+    span, _ = quadform.search_bounds(quadform.make_target(100000))
+    assert [r.candidates_examined for r in rows] == [len(span), 0]  # 28124 u
+    assert [r.pair for r in rows] == [(13, 3076923077)] * 2
+    # n = 30: the scan visits 7 u, and its witness u = 18 lies past them
+    (row,) = bench.run_bench([30], [Strategy.QUAD_INTERVAL], repetitions=1)
+    span, _ = quadform.search_bounds(quadform.make_target(30))
+    assert row.candidates_examined == arith.sieve_count(span.start, span.stop) == 7
+    assert row.pair == (13, 277)
 
 
 def test_heuristic_strategy_reports_misses_honestly():

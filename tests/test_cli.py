@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from fermatsieve import arith, cli
+from fermatsieve import arith, cli, quadform
 
 
 def run(capsys, *argv):
@@ -189,6 +189,21 @@ def test_candidates_rejects_non_prime_modulus(capsys):
     for bad in ("9", "2", "1", "-7"):
         rc, _, err = run(capsys, "candidates", "--n", "4", "--prime", bad)
         assert rc == 2, bad
+
+
+def test_candidates_prime_above_cap_exits_2_before_any_sweep(monkeypatch, capsys):
+    # 1048583 is a prime above 2^20; each residue sweep costs O(p)
+    assert arith.is_prime(1048583) and 1048583 > cli.PRIME_BOUND_MAX
+
+    def no_sweep(t, p):
+        raise AssertionError(f"residue sweep mod {p} called")
+
+    monkeypatch.setattr(quadform, "admissible_residues_parametric", no_sweep)
+    monkeypatch.setattr(quadform, "admissible_residues_qr", no_sweep)
+    rc, out, err = run(capsys, "candidates", "--n", "4", "--prime", "1048583")
+    assert rc == 2
+    assert out == ""
+    assert f"--prime must be <= {cli.PRIME_BOUND_MAX}" in err
 
 
 def test_candidates_json(capsys):

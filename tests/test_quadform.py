@@ -156,10 +156,11 @@ def test_qr_kill_classes_complement_admissible_residues():
             if t.N % p == 0:
                 continue
             rejected = set(range(p)) - quadform.admissible_residues_qr(t, p)
-            ((period, residues),) = arith.nonsquare_classes(
+            ((period, alive),) = arith.nonsquare_classes(
                 t.N, quadform.CENTER_STEP, t.offset, [p]
             )
-            assert (period, set(residues)) == (p, rejected), (n, p)
+            dropped = {r for r in range(period) if not alive >> r & 1}
+            assert (period, dropped) == (p, rejected), (n, p)
 
 
 def test_default_filter_primes_excludes_divisors():
@@ -198,11 +199,9 @@ def test_sieve_filter_prime_dividing_n_keeps_smallest_u_first():
     assert [(p.a, p.b, p.witness_u) for p in pairs] == [(13, 25, 2)]
     pairs = quadform.sieve_enumerate(t325, (3, 5), want_all=True)
     assert [(p.a, p.b, p.witness_u) for p in pairs] == [(13, 25, 2), (5, 65, 4)]
-    # every discriminant is a square mod 5 | N, so its QR class is empty
-    assert [
-        (q, list(residues))
-        for q, residues in arith.nonsquare_classes(t325.N, quadform.CENTER_STEP, t325.offset, [5])
-    ] == [(5, [])]
+    # every discriminant is a square mod 5 | N, so its QR class keeps every u
+    classes = arith.nonsquare_classes(t325.N, quadform.CENTER_STEP, t325.offset, [5])
+    assert classes == [(5, 31)]
 
 
 def test_sieve_rejects_even_filter_prime():
