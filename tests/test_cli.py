@@ -32,6 +32,48 @@ def test_factor_prime_exit_1(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        ("factor --n 4", 0, "N = 65 = 4*4^2 + 1 (even generator)\nu=1 center=9 d=4: 65 = 5 * 13\n"),
+        (
+            "factor --n 5",
+            1,
+            "N = 101 = 4*5^2 + 1 (odd generator)\n101 is prime (trial division up to "
+            "isqrt(N)/4 and the scan up to the crossover found nothing)\n",
+        ),
+        (
+            "factor --n 9 --all",
+            0,
+            "N = 325 = 4*9^2 + 1 (odd generator)\nu=2 center=19 d=6: 325 = 13 * 25\n"
+            "u=4 center=35 d=30: 325 = 5 * 65\n",
+        ),
+        (
+            "factor --n 30 --heuristic-filters",
+            1,
+            "N = 3601 = 4*30^2 + 1 (even generator)\nno factor found; heuristic filters "
+            "were on, so this is not a primality verdict\n",
+        ),
+        ("factor-generic --N 9797", 0, "9797 = 99^2 - 2^2 = 97 * 101 (c=99, d=2)\n"),
+        ("factor-generic --N 101", 1, "101: prime\n"),
+        ("factor-generic --N 99993 --budget 10", 1, "99993: budget-exhausted\n"),
+        ("candidates --n 4", 0, "N = 65: u in [1, 3/2), 1 candidate(s) [1]\n"),
+        (
+            "candidates --n 4 --prime 7",
+            0,
+            "N = 65: u in [1, 3/2), 1 candidate(s) [1]\n"
+            "prime 7: parametric [1, 2, 3, 4] qr [1, 2, 3, 4] equal=True\n",
+        ),
+        ("fermat --index 5 --mode lambda", 0, "lambda=409 center=3350529: F_5 = 641 * 6700417\n"),
+        ("fermat --index 5 --mode lambda --budget 3", 1, "no factor pair found (budget exhausted)\n"),
+        ("fermat --index 6 --mode lucas --budget 10000", 0, "s=1071 divisor=274177 divides F_6\n"),
+        ("fermat --index 5 --mode lucas --budget 3", 1, "no divisor of F_5 with s <= 3\n"),
+    ],
+)
+def test_text_output_is_pinned(capsys, argv, code, stdout):
+    assert run(capsys, *argv.split())[:2] == (code, stdout)
+
+
 def test_factor_rejects_wrong_form(capsys):
     rc, _, err = run(capsys, "factor", "--N", "12")
     assert rc == 2
