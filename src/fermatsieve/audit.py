@@ -377,8 +377,9 @@ def audit_claims(
     return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
 
-#: Entries _fermat_divisor keeps: every index the CLI accepts (0 to 30),
-#: twice over.  An entry is a small divisor or a short note, never F_n.
+#: Entries _fermat_divisor keeps: every index audit_fermat accepts (0 to
+#: fermat_numbers.MAX_INDEX), twice over.  An entry is a small divisor or
+#: a short note, never F_n.
 _FERMAT_DIVISOR_CACHE = 64
 
 
@@ -415,14 +416,18 @@ def audit_fermat(
     else is kept between calls.  Indices whose factorization is out of
     reach within search_budget are skipped with a notice in the range
     description, and indices below the machinery's preconditions are
-    probed and labeled rather than audited.
+    probed and labeled rather than audited.  An index above
+    fermat_numbers.MAX_INDEX raises ValueError before any search.
     """
+    indices = sorted(set(indices))
+    if indices and indices[-1] > fermat_numbers.MAX_INDEX:
+        raise ValueError(f"Fermat index must be <= {fermat_numbers.MAX_INDEX}")
     odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
     claims = [c for c in CLAIMS if c.family == "fermat"]
     tallies = {c.id: [0, []] for c in claims}
     # range_tested: the range, then a note per index skipped or probed
-    notes = [f"F indices {sorted(set(indices))}; primes <= {prime_bound}"]
-    for idx in sorted(set(indices)):
+    notes = [f"F indices {indices}; primes <= {prime_bound}"]
+    for idx in indices:
         a, note = _fermat_divisor(idx, search_budget)
         if a is None:
             notes.append(note)

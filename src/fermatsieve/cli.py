@@ -52,6 +52,30 @@ def _envelope(command: str, parameters: dict, results) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _emit(args, command: str, parameters: dict, results, lines: list[str]) -> None:
+    """Print the command's results: as the JSON envelope under --json, else
+    as the text lines worked out from them."""
+    print(_envelope(command, parameters, results) if args.json else "\n".join(lines))
+
+
+def _write(path: str, text: str) -> int | None:
+    """Write text to path (UTF-8, LF); the exit code when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror}")
+    return None
+
+
+def _int_list(text: str) -> list[int] | None:
+    """The integers of a comma-separated list; None when one is not an integer."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        return None
+
+
 def _resolve_generator(args) -> int | None:
     """Generator n from --n, or recovered from --N (which must be 4n^2+1)."""
     if args.n is not None:
@@ -61,16 +85,6 @@ def _resolve_generator(args) -> int | None:
         return None
     n = arith.isqrt((N - 1) // 4)
     return n if n >= 1 and 4 * n * n + 1 == N else None
-
-
-def _pair_dict(pair: quadform.FactorPair, offset: int) -> dict:
-    return {
-        "a": pair.a,
-        "b": pair.b,
-        "u": pair.witness_u,
-        "center": quadform.CENTER_STEP * pair.witness_u + offset,
-        "d": pair.d,
-    }
 
 
 def cmd_factor(args) -> int:
@@ -100,22 +114,30 @@ def cmd_factor(args) -> int:
     results = {
         "parity": t.parity,
         "verdict": verdict,
-        "pairs": [_pair_dict(p, t.offset) for p in pairs],
+        "pairs": [
+            {
+                "a": p.a,
+                "b": p.b,
+                "u": p.witness_u,
+                "center": quadform.CENTER_STEP * p.witness_u + t.offset,
+                "d": p.d,
+            }
+            for p in pairs
+        ],
     }
-    if args.json:
-        print(_envelope("factor", parameters, results))
-    else:
-        print(f"N = {t.N} = 4*{t.n}^2 + 1 ({t.parity} generator)")
-        for p in results["pairs"]:
-            print(f"u={p['u']} center={p['center']} d={p['d']}: {t.N} = {p['a']} * {p['b']}")
-        if not pairs:
-            if verdict == "prime":
-                print(
-                    f"{t.N} is prime (trial division up to isqrt(N)/4 and the scan "
-                    "up to the crossover found nothing)"
-                )
-            else:
-                print("no factor found; heuristic filters were on, so this is not a primality verdict")
+    lines = [f"N = {t.N} = 4*{t.n}^2 + 1 ({t.parity} generator)"]
+    for p in results["pairs"]:
+        lines.append("u={u} center={center} d={d}: {N} = {a} * {b}".format(N=t.N, **p))
+    if verdict == "prime":
+        lines.append(
+            f"{t.N} is prime (trial division up to isqrt(N)/4 and the scan "
+            "up to the crossover found nothing)"
+        )
+    elif verdict == "unknown":
+        lines.append(
+            "no factor found; heuristic filters were on, so this is not a primality verdict"
+        )
+    _emit(args, "factor", parameters, results, lines)
     return EXIT_FOUND if pairs else EXIT_NEGATIVE
 
 
@@ -128,32 +150,28 @@ def cmd_factor_generic(args) -> int:
     outcome = fermat_generic.fermat_factor(N, step_budget=args.budget)
     parameters = {"N": N, "budget": args.budget}
     if isinstance(outcome, fermat_generic.SquareSplit):
-        results = {
-            "verdict": "composite",
-            "c": outcome.c,
-            "d": outcome.d,
-            "pair": [outcome.a, outcome.b],
-        }
-        if args.json:
-            print(_envelope("factor-generic", parameters, results))
-        else:
-            print(
-                f"{N} = {outcome.c}^2 - {outcome.d}^2 = {outcome.a} * {outcome.b} "
-                f"(c={outcome.c}, d={outcome.d})"
-            )
-        return EXIT_FOUND
-    verdict = "prime" if outcome is fermat_generic.Verdict.PRIME else "budget-exhausted"
-    if args.json:
-        print(_envelope("factor-generic", parameters, {"verdict": verdict}))
+        c, d, a, b = outcome
+        results = {"verdict": "composite", "c": c, "d": d, "pair": [a, b]}
+        line = "{N} = {c}^2 - {d}^2 = {pair[0]} * {pair[1]} (c={c}, d={d})"
     else:
-        print(f"{N}: {verdict}")
-    return EXIT_NEGATIVE
+        results = {"verdict": outcome.value}  # "prime" or "budget-exhausted"
+        line = "{N}: {verdict}"
+    _emit(args, "factor-generic", parameters, results, [line.format(N=N, **results)])
+    return EXIT_FOUND if results["verdict"] == "composite" else EXIT_NEGATIVE
 
 
 def cmd_candidates(args) -> int:
     if args.n < 1:
         return _fail("need --n >= 1")
     t = quadform.make_target(args.n)
+    p = args.prime
+    if p is not None:
+        if p > PRIME_BOUND_MAX:
+            return _fail(f"--prime must be <= {PRIME_BOUND_MAX}")
+        if p == 2 or not arith.is_prime(p):
+            return _fail("--prime must be an odd prime")
+        if t.N % p == 0:
+            return _fail(f"{p} divides N = {t.N}; it is a factor, not a filter")
     u_min, u_sup = quadform.u_interval(t)
     span = quadform.u_range(t)
     results = {
@@ -164,33 +182,16 @@ def cmd_candidates(args) -> int:
         "count": len(span),
         "u_values": list(span) if len(span) <= 1000 else None,
     }
-    if args.prime is not None:
-        p = args.prime
-        if p > PRIME_BOUND_MAX:
-            return _fail(f"--prime must be <= {PRIME_BOUND_MAX}")
-        if p == 2 or not arith.is_prime(p):
-            return _fail("--prime must be an odd prime")
-        if t.N % p == 0:
-            return _fail(f"{p} divides N = {t.N}; it is a factor, not a filter")
+    shown = f" {results['u_values']}" if 0 < len(span) <= 50 else ""
+    lines = ["N = {N}: u in [{u_min}, {u_sup}), {count} candidate(s)".format(**results) + shown]
+    if p is not None:
         parametric = sorted(quadform.admissible_residues_parametric(t, p))
         qr = sorted(quadform.admissible_residues_qr(t, p))
-        results["prime"] = p
-        results["parametric"] = parametric
-        results["qr"] = qr
-        results["equal"] = parametric == qr
-    parameters = {"n": t.n, "prime": args.prime}
-    if args.json:
-        print(_envelope("candidates", parameters, results))
-    else:
-        shown = f" {list(span)}" if 0 < len(span) <= 50 else ""
-        print(
-            f"N = {t.N}: u in [{u_min}, {u_sup}), {len(span)} candidate(s){shown}"
+        results.update(prime=p, parametric=parametric, qr=qr, equal=parametric == qr)
+        lines.append(
+            "prime {prime}: parametric {parametric} qr {qr} equal={equal}".format(**results)
         )
-        if args.prime is not None:
-            print(
-                f"prime {args.prime}: parametric {results['parametric']} "
-                f"qr {results['qr']} equal={results['equal']}"
-            )
+    _emit(args, "candidates", {"n": t.n, "prime": p}, results, lines)
     return EXIT_FOUND
 
 
@@ -208,12 +209,11 @@ def cmd_audit(args) -> int:
         selected = audit.parse_claim_spec(args.claims)
     except ValueError as exc:
         return _fail(str(exc))
-    try:
-        fermat_indices = [int(x) for x in args.fermat_indices.split(",") if x.strip()]
-    except ValueError:
+    fermat_indices = _int_list(args.fermat_indices)
+    if fermat_indices is None:
         return _fail("--fermat-indices must be a comma-separated list of integers")
-    if any(i < 0 or i > 30 for i in fermat_indices):
-        return _fail("--fermat-indices must lie in [0, 30]")
+    if any(i < 0 or i > fermat_numbers.MAX_INDEX for i in fermat_indices):
+        return _fail(f"--fermat-indices must lie in [0, {fermat_numbers.MAX_INDEX}]")
     if args.prime_bound > PRIME_BOUND_MAX:
         return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
 
@@ -241,17 +241,17 @@ def cmd_audit(args) -> int:
         )
         return EXIT_INCONSISTENT
 
-    parameters = {
-        "range": f"{lo}:{hi}",
-        "claims": sorted(c.value for c in selected),
-        "prime_bound": args.prime_bound,
-        "fermat_indices": fermat_indices,
-    }
-    results = [audit.report_to_dict(r) for r in reports]
-    text = _envelope("audit", parameters, results)
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        parameters = {
+            "range": f"{lo}:{hi}",
+            "claims": sorted(c.value for c in selected),
+            "prime_bound": args.prime_bound,
+            "fermat_indices": fermat_indices,
+        }
+        results = [audit.report_to_dict(r) for r in reports]
+        failed = _write(args.json, _envelope("audit", parameters, results) + "\n")
+        if failed is not None:
+            return failed
     for r in reports:
         print(
             f"{r.claim.value}: instances={r.instances_tested} "
@@ -263,8 +263,9 @@ def cmd_audit(args) -> int:
 def cmd_fermat(args) -> int:
     if args.index < 0:
         return _fail("--index must be >= 0")
-    if args.index > 30:
-        return _fail("F_n beyond index 30 is not a desk-scale object; refusing")
+    top = fermat_numbers.MAX_INDEX
+    if args.index > top:
+        return _fail(f"F_n beyond index {top} is not a desk-scale object; refusing")
     if args.budget < 0:
         return _fail("--budget must be >= 0")
     if args.mode == "lucas" and args.index < 4:
@@ -274,68 +275,52 @@ def cmd_fermat(args) -> int:
     if args.mode == "lambda" and args.index > LAMBDA_MAX_INDEX:
         return _fail(f"lambda mode is bounded to index <= {LAMBDA_MAX_INDEX}")
     t = fermat_numbers.make_fermat(args.index)
-    json_F = t.value if args.index <= JSON_F_MAX_INDEX else None
+    name = f"F_{args.index}"
+    results = {"F": t.value if args.index <= JSON_F_MAX_INDEX else None}
+    if args.mode == "lucas":
+        hits = fermat_numbers.lucas_search(t, args.budget)
+        results["divisors"] = [{"s": h.s, "divisor": h.divisor} for h in hits]
+        lines = [
+            f"s={h['s']} divisor={h['divisor']} divides {name}" for h in results["divisors"]
+        ] or [f"no divisor of {name} with s <= {args.budget}"]
+    else:
+        outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
+        hits = outcome.hits
+        results.update(
+            exhausted=outcome.exhausted,
+            examined=outcome.examined,
+            skipped=outcome.skipped,
+            hits=[
+                {
+                    "lambda": h.lam,
+                    "center": h.center,
+                    "pair": [h.center - h.root, h.center + h.root],
+                }
+                for h in hits
+            ],
+        )
+        tail = "budget exhausted" if outcome.exhausted else "interval exhausted"
+        lines = [
+            "lambda={} center={}: {} = {} * {}".format(h["lambda"], h["center"], name, *h["pair"])
+            for h in results["hits"]
+        ] or [f"no factor pair found ({tail})"]
     parameters = {
         "index": args.index,
         "mode": args.mode,
         "budget": args.budget,
         "filters": args.filters,
     }
-
-    if args.mode == "lucas":
-        hits = fermat_numbers.lucas_search(t, args.budget)
-        results = {
-            "F": json_F,
-            "divisors": [{"s": h.s, "divisor": h.divisor} for h in hits],
-        }
-        if args.json:
-            print(_envelope("fermat", parameters, results))
-        else:
-            for h in hits:
-                print(f"s={h.s} divisor={h.divisor} divides F_{args.index}")
-            if not hits:
-                print(f"no divisor of F_{args.index} with s <= {args.budget}")
-        return EXIT_FOUND if hits else EXIT_NEGATIVE
-
-    outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
-    results = {
-        "F": json_F,
-        "exhausted": outcome.exhausted,
-        "examined": outcome.examined,
-        "skipped": outcome.skipped,
-        "hits": [
-            {
-                "lambda": h.lam,
-                "center": h.center,
-                "pair": [h.center - h.root, h.center + h.root],
-            }
-            for h in outcome.hits
-        ],
-    }
-    if args.json:
-        print(_envelope("fermat", parameters, results))
-    else:
-        for h in outcome.hits:
-            print(
-                f"lambda={h.lam} center={h.center}: "
-                f"F_{args.index} = {h.center - h.root} * {h.center + h.root}"
-            )
-        if not outcome.hits:
-            tail = "budget exhausted" if outcome.exhausted else "interval exhausted"
-            print(f"no factor pair found ({tail})")
-    return EXIT_FOUND if outcome.hits else EXIT_NEGATIVE
+    _emit(args, "fermat", parameters, results, lines)
+    return EXIT_FOUND if hits else EXIT_NEGATIVE
 
 
 def cmd_bench(args) -> int:
-    # only this command needs bench, csv and statistics; importing them
-    # here keeps them out of every other command's start-up
-    import csv
-
+    # only this command needs bench and statistics; importing them here
+    # keeps them out of every other command's start-up
     from . import bench
 
-    try:
-        targets = [int(x) for x in args.targets.split(",") if x.strip()]
-    except ValueError:
+    targets = _int_list(args.targets)
+    if targets is None:
         return _fail("--targets must be a comma-separated list of integers")
     if not targets:
         return _fail("no targets given")
@@ -351,25 +336,20 @@ def cmd_bench(args) -> int:
         rows = bench.run_bench(targets, strategies, repetitions=args.repetitions)
     except ValueError as exc:
         return _fail(str(exc))
+    table = [
+        (r.strategy, r.target_n, r.N, r.candidates_examined, str(r.found).lower(), r.elapsed_ns)
+        for r in rows
+    ]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["strategy", "n", "N", "candidates", "found", "elapsed_ns"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.strategy,
-                        row.target_n,
-                        row.N,
-                        row.candidates_examined,
-                        "true" if row.found else "false",
-                        row.elapsed_ns,
-                    ]
-                )
-    for row in rows:
+        header = ("strategy", "n", "N", "candidates", "found", "elapsed_ns")
+        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *table])
+        failed = _write(args.csv, text)
+        if failed is not None:
+            return failed
+    for strategy, n, _, candidates, found, elapsed_ns in table:
         print(
-            f"{row.strategy:<28} n={row.target_n:<6} candidates={row.candidates_examined:<8} "
-            f"found={str(row.found).lower():<5} elapsed_ns={row.elapsed_ns}"
+            f"{strategy:<28} n={n:<6} candidates={candidates:<8} "
+            f"found={found:<5} elapsed_ns={elapsed_ns}"
         )
     return EXIT_FOUND
 

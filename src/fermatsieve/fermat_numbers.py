@@ -21,6 +21,7 @@ from typing import NamedTuple
 from . import arith
 
 __all__ = [
+    "MAX_INDEX",
     "FermatTarget",
     "LucasDivisorCandidate",
     "LambdaCandidate",
@@ -34,6 +35,11 @@ __all__ = [
     "lambda_search",
     "lambda_of_pair",
 ]
+
+
+#: Largest Fermat index the CLI and audit_fermat accept: F_30 is a 128 MiB
+#: integer, and past it F_n stops being a desk-scale object.
+MAX_INDEX = 30
 
 
 class FermatTarget(NamedTuple):
@@ -85,7 +91,7 @@ class LambdaSearchResult(NamedTuple):
 
 def make_fermat(index_n: int) -> FermatTarget:
     """Build the target for F_n.  Callers impose their own size budgets;
-    anything past index 30 stops being a desk-scale object."""
+    anything past MAX_INDEX stops being a desk-scale object."""
     if index_n < 0:
         raise ValueError("Fermat index must be >= 0")
     return FermatTarget(

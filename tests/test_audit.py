@@ -395,6 +395,54 @@ def test_audit_fermat_searches_each_index_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("indices", [[fermat_numbers.MAX_INDEX + 2], [5, 36]])
+def test_audit_fermat_refuses_indices_past_the_cap(monkeypatch, indices):
+    # F_32 has the factor 1479 * 2^34 + 1 within the default budget, and then
+    # F_32 and its cofactor are two 512 MiB integers: refuse before searching
+    def no_search(idx, search_budget):
+        raise AssertionError(f"searched F_{idx}")
+
+    monkeypatch.setattr(audit, "_fermat_divisor", no_search)
+    with pytest.raises(ValueError, match=f"<= {fermat_numbers.MAX_INDEX}"):
+        audit.audit_fermat(indices)
+
+
+def _flagged(claim_id, x, index, odd_primes):
+    """Whether the claim flags the index at any modulus it is checked at."""
+    c = audit._BY_ID[claim_id]
+    moduli = [p for p in odd_primes if c.moduli(x, p)] if callable(c.moduli) else c.moduli
+    return any(c.violated(x, index, p) is not None for p in moduli)
+
+
+def test_heuristic_skips_drop_what_e3_and_o3_flag():
+    # a pruning step is a claim the audit checks: the skips of
+    # --heuristic-filters are E3 (even n) and O3 (odd n), class for class
+    for n in range(1, 61):
+        x = audit._Generator(n)
+        primes = quadform.default_filter_primes(x.t)
+        sound = quadform.filter_kills(x.t, primes, False)
+        skips = quadform.filter_kills(x.t, primes, True)[len(sound):]
+        assert [q for q, _ in skips] == [p for p in primes if p % 4 == 3]
+        claim = "E3" if n % 2 == 0 else "O3"
+        for p, alive in skips:
+            for u in range(3 * p):
+                dropped = not alive >> (u % p) & 1
+                assert dropped == _flagged(claim, x, u, [p]), (n, p, u)
+
+
+@pytest.mark.parametrize("index", [5, 6, 7, 8])
+def test_lambda_filters_skip_what_f3_f4_f5_flag(index):
+    t = fermat_numbers.make_fermat(index)
+    x = audit._Fermat(t, t.value, None)
+    odd_primes = [p for p in arith.primes_up_to(97) if p != 2]
+    lam_min, lam_sup = fermat_numbers.lambda_interval(t)
+    flagged = sum(
+        any(_flagged(c, x, lam, odd_primes) for c in ("F3", "F4", "F5"))
+        for lam in range(lam_min, min(lam_sup, lam_min + 3000))
+    )
+    assert fermat_numbers.lambda_search(t, 3000, True).skipped == flagged
+
+
 def test_l2_never_builds_the_divisor_cap():
     # the divisor cap is a 64 MiB integer at index 30; L2 compares bit lengths
     reports = report_map(audit.audit_fermat([5, 6]))

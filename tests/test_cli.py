@@ -423,6 +423,21 @@ def test_bench_csv(tmp_path, capsys):
     assert int(qr[0].split(",")[3]) <= int(plain[0].split(",")[3])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--range", "1:2", "--claims", "CE", "--json"),
+        ("bench", "--targets", "4", "--strategies", "QuadInterval", "--csv"),
+    ],
+)
+def test_unwritable_output_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_bench_rejects_prime_target(capsys):
     rc, _, err = run(capsys, "bench", "--targets", "5")
     assert rc == 2
