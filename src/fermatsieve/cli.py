@@ -12,10 +12,30 @@ files are stable-key-ordered so identical runs produce identical bytes.
 """
 
 import argparse
+import errno
+import importlib.util
 import json
+import os
 import sys
 
-from . import __version__, arith, audit, fermat_generic, fermat_numbers, quadform
+from . import __version__, arith
+
+
+def _lazy(name: str):
+    """fermatsieve.<name>, in sys.modules now but run on its first attribute read."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+audit, bench, fermat_generic, fermat_numbers, quadform = map(
+    _lazy, ("audit", "bench", "fermat_generic", "fermat_numbers", "quadform")
+)
 
 EXIT_FOUND = 0
 EXIT_NEGATIVE = 1
@@ -56,6 +76,17 @@ def _emit(args, command: str, parameters: dict, results, lines: list[str]) -> No
     """Print the command's results: as the JSON envelope under --json, else
     as the text lines worked out from them."""
     print(_envelope(command, parameters, results) if args.json else "\n".join(lines))
+
+
+def _refuse_unwritable(path: str) -> int | None:
+    """Exit 2 before any work if path is a directory or its directory is missing."""
+    if os.path.isdir(path):
+        return _fail(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror}")
+    return None
 
 
 def _write(path: str, text: str) -> int | None:
@@ -216,6 +247,8 @@ def cmd_audit(args) -> int:
         return _fail(f"--fermat-indices must lie in [0, {fermat_numbers.MAX_INDEX}]")
     if args.prime_bound > PRIME_BOUND_MAX:
         return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
+    if args.json and (failed := _refuse_unwritable(args.json)) is not None:
+        return failed
 
     reports = []
     quad = selected & audit.QUAD_CLAIMS
@@ -304,21 +337,12 @@ def cmd_fermat(args) -> int:
             "lambda={} center={}: {} = {} * {}".format(h["lambda"], h["center"], name, *h["pair"])
             for h in results["hits"]
         ] or [f"no factor pair found ({tail})"]
-    parameters = {
-        "index": args.index,
-        "mode": args.mode,
-        "budget": args.budget,
-        "filters": args.filters,
-    }
+    parameters = {key: getattr(args, key) for key in ("index", "mode", "budget", "filters")}
     _emit(args, "fermat", parameters, results, lines)
     return EXIT_FOUND if hits else EXIT_NEGATIVE
 
 
 def cmd_bench(args) -> int:
-    # only this command needs bench and statistics; importing them here
-    # keeps them out of every other command's start-up
-    from . import bench
-
     targets = _int_list(args.targets)
     if targets is None:
         return _fail("--targets must be a comma-separated list of integers")
@@ -332,6 +356,8 @@ def cmd_bench(args) -> int:
         except ValueError:
             names = ", ".join(s.value for s in bench.Strategy)
             return _fail(f"--strategies must be 'all' or a list from: {names}")
+    if args.csv and (failed := _refuse_unwritable(args.csv)) is not None:
+        return failed
     try:
         rows = bench.run_bench(targets, strategies, repetitions=args.repetitions)
     except ValueError as exc:
@@ -343,8 +369,7 @@ def cmd_bench(args) -> int:
     if args.csv:
         header = ("strategy", "n", "N", "candidates", "found", "elapsed_ns")
         text = "".join(",".join(map(str, row)) + "\n" for row in [header, *table])
-        failed = _write(args.csv, text)
-        if failed is not None:
+        if (failed := _write(args.csv, text)) is not None:
             return failed
     for strategy, n, _, candidates, found, elapsed_ns in table:
         print(

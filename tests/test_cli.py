@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
+import errno
 import json
 import math
+import os
 import time
 import tracemalloc
 
@@ -436,6 +438,45 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, argv):
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (("audit", "--range", "1:2000", "--claims", "all", "--json"), "audit.audit_claims"),
+        (("bench", "--targets", "4,9", "--strategies", "all", "--csv"), "bench.run_bench"),
+    ],
+)
+@pytest.mark.parametrize("where, code", [("missing/x", errno.ENOENT), (".", errno.EISDIR)])
+def test_unwritable_output_file_is_refused_before_the_work(
+    tmp_path, monkeypatch, capsys, argv, work, where, code
+):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(f"fermatsieve.{work}", fail)
+    path = tmp_path / where
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {path}: {os.strerror(code)}\n"
+    assert list(tmp_path.iterdir()) == []  # nothing created
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--range", "1:2", "--claims", "CE", "--json"),
+        ("bench", "--targets", "4", "--strategies", "QuadInterval", "--csv"),
+    ],
+)
+def test_write_error_after_the_work_exits_2(tmp_path, capsys, argv):
+    # a regular file where the directory should be passes the early check,
+    # so the error comes from the write itself
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "out"
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {path}: {os.strerror(errno.ENOTDIR)}\n"
 
 
 def test_bench_rejects_prime_target(capsys):
