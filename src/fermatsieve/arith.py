@@ -28,9 +28,7 @@ def isqrt(x: int) -> int:
     """Floor square root: the result r satisfies r*r <= x < (r+1)*(r+1)."""
     if x < 0:
         raise ValueError("isqrt is undefined for negative values")
-    r = math.isqrt(x)
-    assert r * r <= x < (r + 1) * (r + 1)
-    return r
+    return math.isqrt(x)
 
 
 def ceil_sqrt(x: int) -> int:
@@ -49,27 +47,20 @@ def _square_residues(modulus: int) -> bytes:
     return bytes(table)
 
 
-# Cheap rejection tables for the perfect-square test.  Only 12 of 64
-# residues mod 64 are squares, so the first screen alone kills ~81% of
-# non-squares; 63, 65 and 11 mop up most of the rest.
-_SQ64 = _square_residues(64)
-_SQ63 = _square_residues(63)
-_SQ65 = _square_residues(65)
-_SQ11 = _square_residues(11)
-_SCREENS = (64, 63, 65, 11)  # the moduli above, as nonsquare_classes' default
+#: The square screens square_centers adds to every scan.  Only 12 of 64
+#: residues mod 64 are squares, 63, 65 and 11 drop most of the rest, and
+#: the primes 17 to 37 cut the compositeness scan about 6-fold (README).
+_SCREENS = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37)
 
 
 def is_perfect_square(x: int) -> int | None:
     """Return the integer square root of x if x is a perfect square, else None.
 
-    Negative inputs are never squares.  The residue screens are a pure
-    speedup; the decision is always made by the exact isqrt round-trip.
+    Negative inputs are never squares.  The test is the exact isqrt
+    round-trip alone: the scans screen residues before they call it, in
+    square_centers.
     """
     if x < 0:
-        return None
-    if not _SQ64[x & 63]:
-        return None
-    if not (_SQ63[x % 63] and _SQ65[x % 65] and _SQ11[x % 11]):
         return None
     r = math.isqrt(x)
     return r if r * r == x else None
@@ -114,8 +105,9 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
     the discriminant is a square mod q.  A square is a square modulo every
     q, so no class drops a u whose discriminant is a perfect square; when
     q divides N every discriminant is a square mod q and every bit is set.
-    The default moduli are is_perfect_square's own screens, so a u they
-    drop is one it would reject before its exact root.  Classes are cached
+    The default moduli are the square screens, _SCREENS, that
+    square_centers adds to every scan; callers pass other moduli only for
+    filters of their own, such as factor's QR primes.  Classes are cached
     by (q, N mod q, step mod q, offset mod q), on which alone they depend;
     each is a pair of ints, so no caller can change what the cache holds.
     """
@@ -226,10 +218,10 @@ def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=
     whose center c = step*u + offset gives c^2 - N = r^2 with c - r > 1.
 
     This is Fermat's method on one progression of centers: each hit is the
-    proper split N = (c - r)(c + r).  The square screens of
-    nonsquare_classes(N, step, offset) join the kill classes, so only the
+    proper split N = (c - r)(c + r).  The square screens,
+    nonsquare_classes(N, step, offset), join the kill classes, so only the
     u they leave reach the exact square test; negative discriminants are
-    never squares.
+    never squares.  Callers pass only classes of their own.
     """
     kills = [*kills, *nonsquare_classes(N, step, offset)]
     for u in sieve_progression(start, stop, kills):

@@ -47,11 +47,6 @@ EXIT_INCONSISTENT = 3
 #: conversion that CPython sets by default, so from there on "F" is null.
 JSON_F_MAX_INDEX = 13
 
-#: Largest Fermat index lambda mode accepts.  Each center that passes the
-#: square screens costs an isqrt of a discriminant as large as F_n, so the
-#: scan is not desk-scale past here even with lam_min in closed form.
-LAMBDA_MAX_INDEX = 20
-
 #: Largest --prime-bound accepted; primes_up_to allocates a byte per integer
 #: up to the bound, so this caps its sieve at 1 MiB.
 PRIME_BOUND_MAX = 1 << 20
@@ -305,8 +300,8 @@ def cmd_fermat(args) -> int:
         return _fail("lucas mode needs index >= 4")
     if args.mode == "lambda" and args.index < 5:
         return _fail("lambda mode needs index >= 5")
-    if args.mode == "lambda" and args.index > LAMBDA_MAX_INDEX:
-        return _fail(f"lambda mode is bounded to index <= {LAMBDA_MAX_INDEX}")
+    if args.mode == "lambda" and args.index > fermat_numbers.LAMBDA_MAX_INDEX:
+        return _fail(f"lambda mode is bounded to index <= {fermat_numbers.LAMBDA_MAX_INDEX}")
     t = fermat_numbers.make_fermat(args.index)
     name = f"F_{args.index}"
     results = {"F": t.value if args.index <= JSON_F_MAX_INDEX else None}

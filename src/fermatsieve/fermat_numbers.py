@@ -22,6 +22,7 @@ from . import arith
 
 __all__ = [
     "MAX_INDEX",
+    "LAMBDA_MAX_INDEX",
     "FermatTarget",
     "LucasDivisorCandidate",
     "LambdaCandidate",
@@ -40,6 +41,11 @@ __all__ = [
 #: Largest Fermat index the CLI and audit_fermat accept: F_30 is a 128 MiB
 #: integer, and past it F_n stops being a desk-scale object.
 MAX_INDEX = 30
+
+#: Largest Fermat index lambda_search accepts.  Each center that passes the
+#: square screens costs an isqrt of a discriminant as large as F_n, so the
+#: scan is not desk-scale past here even with lam_min in closed form.
+LAMBDA_MAX_INDEX = 20
 
 
 class FermatTarget(NamedTuple):
@@ -184,12 +190,13 @@ def lambda_search(t: FermatTarget, lam_budget: int, filters: bool = False) -> La
     lam = 0 mod p for the primes p = 3 mod 4 up to 97.  They are
     heuristics: skipped indices are counted, never silently trusted, and
     the searched hit set on F_5 is known to be filter-independent.
+    The index must lie in [5, LAMBDA_MAX_INDEX].
     """
-    if t.index_n < 5:
-        raise ValueError("center search needs index >= 5")
+    lam_min, lam_sup = lambda_interval(t)
+    if t.index_n > LAMBDA_MAX_INDEX:
+        raise ValueError(f"center search is bounded to index <= {LAMBDA_MAX_INDEX}")
     if lam_budget < 0:
         raise ValueError("lam_budget must be >= 0")
-    lam_min, lam_sup = lambda_interval(t)
     stop = min(lam_sup, lam_min + lam_budget)
     kills = []
     if filters:

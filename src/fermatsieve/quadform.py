@@ -273,25 +273,20 @@ def sieve_enumerate(
     return found
 
 
-#: Extra square screens for compositeness_witness; the kernel's moduli 63 and
-#: 65 already cover 3, 5, 7 and 13.  3 to 11 primes scan as fast (README).
-_WITNESS_SCREENS = (17, 19, 23, 29, 31, 37)
-
-
 def compositeness_witness(t: QuadTarget) -> Candidate | None:
     """First u in the interval with a square discriminant, or None.
 
     Every proper factor of N is 1 mod 4, so none is below 5, and for
     a <= sqrt(N) the center (a + N/a) / 2 falls as a grows: every witness
     lies at or below the (5, N/5) split's center, and the scan stops there,
-    about halfway through the paper's interval.  It drops only u whose
-    discriminant is no square modulo some q, and a square is one modulo
-    every q: a hit certifies N composite, None prime.
+    about halfway through the paper's interval.  It passes no classes, so
+    only square_centers' square screens drop a u: those whose discriminant
+    is no square modulo some q, and a square is one modulo every q.  A hit
+    certifies N composite, None prime.
     """
     span = u_range(t)
     stop = min(span.stop, _last_u_to_split(t, 5) + 1)
-    screens = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, _WITNESS_SCREENS)
-    for u, root in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop, screens):
+    for u, root in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop):
         center = CENTER_STEP * u + t.offset
         return Candidate(u=u, center=center, disc=center * center - t.N, root=root)
     return None

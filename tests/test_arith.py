@@ -100,7 +100,7 @@ def _block_edges():
     return edges
 
 
-_SQUARES = {q: {r * r % q for r in range(q)} for q in (64, 63, 65, 11)}
+_SQUARES = {q: {r * r % q for r in range(q)} for q in (64, 63, 65, 11, 17, 19, 23, 29, 31, 37)}
 
 
 def _passes_screens(x):

@@ -171,6 +171,23 @@ def test_lambda_search_rejects_small_index():
         fn.lambda_search(fn.make_fermat(4), 100)
 
 
+def test_lambda_search_rejects_an_index_past_the_cap_before_building_F_n(monkeypatch):
+    _forbid_F_n(monkeypatch)
+    with pytest.raises(ValueError, match=f"<= {fn.LAMBDA_MAX_INDEX}"):
+        fn.lambda_search(fn.make_fermat(fn.LAMBDA_MAX_INDEX + 1), 10000)
+
+
+def test_lambda_search_takes_exact_roots_only_past_every_square_screen(monkeypatch):
+    # at the largest index each exact root is of a discriminant of about
+    # 2^20 bits; every square screen runs in the kernel before it
+    calls = []
+    exact = arith.is_perfect_square
+    monkeypatch.setattr(arith, "is_perfect_square", lambda x: calls.append(x) or exact(x))
+    out = fn.lambda_search(fn.make_fermat(20), 10000)
+    assert out.hits == [] and out.exhausted
+    assert len(calls) == 3
+
+
 def test_lambda_of_pair_f5():
     t = fn.make_fermat(5)
     lam = fn.lambda_of_pair(t, *F5_PAIR)
