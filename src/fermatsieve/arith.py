@@ -11,6 +11,7 @@ import math
 __all__ = [
     "isqrt",
     "ceil_sqrt",
+    "icbrt",
     "is_perfect_square",
     "kill_class",
     "nonsquare_classes",
@@ -19,6 +20,7 @@ __all__ = [
     "square_centers",
     "mod_inv",
     "legendre",
+    "PRIME_TEST_EXACT_BELOW",
     "is_prime",
     "primes_up_to",
 ]
@@ -37,6 +39,25 @@ def ceil_sqrt(x: int) -> int:
         raise ValueError("ceil_sqrt is undefined for negative values")
     r = math.isqrt(x)
     return r if r * r == x else r + 1
+
+
+def icbrt(x: int) -> int:
+    """Floor cube root of x >= 0: the r with r^3 <= x < (r+1)^3.
+
+    Newton's step from 2^ceil(bits/3), which is above the root, falls
+    monotonically to the floor, so the first step that does not fall ends
+    it; integers only, so x may be of any size.
+    """
+    if x < 0:
+        raise ValueError("icbrt is undefined for negative values")
+    if x == 0:
+        return 0
+    r = 1 << -(-x.bit_length() // 3)
+    while True:
+        s = (2 * r + x // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
 
 @functools.lru_cache(maxsize=256)
@@ -221,9 +242,12 @@ def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=
     proper split N = (c - r)(c + r).  The square screens,
     nonsquare_classes(N, step, offset), join the kill classes, so only the
     u they leave reach the exact square test; negative discriminants are
-    never squares.  Callers pass only classes of their own.
+    never squares.  A screen that the caller already passes, as factor
+    does with its QR classes of 11 and 17 to 37, is not added again.
     """
-    kills = [*kills, *nonsquare_classes(N, step, offset)]
+    kills = list(kills)
+    own = set(kills)
+    kills += [k for k in nonsquare_classes(N, step, offset) if k not in own]
     for u in sieve_progression(start, stop, kills):
         c = step * u + offset
         r = is_perfect_square(c * c - N)
@@ -253,9 +277,11 @@ _SMALL_PRIMES = (
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
-# Strong-pseudoprime witnesses that decide primality exactly for every
-# value below 2^64 (the well-known seven-base set); above 2^64 is_prime
-# draws _SPRP_ROUNDS bases at random.
+#: is_prime is exact below this bound: its seven strong-pseudoprime bases
+#: (the well-known set in _U64_WITNESSES) decide every value below 2^64;
+#: above it is_prime draws _SPRP_ROUNDS bases at random.
+PRIME_TEST_EXACT_BELOW = 1 << 64
+
 _U64_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SPRP_ROUNDS = 24
 
@@ -293,7 +319,7 @@ def is_prime(x: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if x < 1 << 64:
+    if x < PRIME_TEST_EXACT_BELOW:
         witnesses = _U64_WITNESSES
     else:
         import random  # only this branch draws witnesses

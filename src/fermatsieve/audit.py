@@ -3,8 +3,9 @@
 The auditor never trusts the sieve.  Ground truth comes from plain trial
 division; witness indices are recovered from the factor pairs themselves;
 and every congruence claim about those indices is checked instance by
-instance, producing a counterexample ledger whose entries can be replayed
-standalone (``verify_violation``).
+instance, producing a counterexample ledger.  ``verify_violation`` checks
+each recorded violation again from scratch before the ledger is written;
+no command reads a ledger back.
 
 Claim identifiers, one per auditable statement and per entry of ``CLAIMS``:
 

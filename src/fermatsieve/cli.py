@@ -120,10 +120,11 @@ def cmd_factor(args) -> int:
     if args.prime_bound > PRIME_BOUND_MAX:
         return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
     t = quadform.make_target(n)
-    primes = quadform.default_filter_primes(t, args.prime_bound)
-    pairs = quadform.sieve_enumerate(
-        t, primes, use_heuristic_filters=args.heuristic_filters, want_all=args.all
-    )
+    if args.heuristic_filters:
+        primes = quadform.default_filter_primes(t, args.prime_bound)
+        pairs = quadform.sieve_enumerate(t, primes, use_heuristic_filters=True, want_all=args.all)
+    else:
+        pairs = quadform.factor_pairs(t, args.prime_bound, want_all=args.all)
     if pairs:
         verdict = "composite"
     elif args.heuristic_filters:
@@ -154,10 +155,14 @@ def cmd_factor(args) -> int:
     lines = [f"N = {t.N} = 4*{t.n}^2 + 1 ({t.parity} generator)"]
     for p in results["pairs"]:
         lines.append("u={u} center={center} d={d}: {N} = {a} * {b}".format(N=t.N, **p))
-    if verdict == "prime":
+    if verdict == "prime" and t.N < arith.PRIME_TEST_EXACT_BELOW:
         lines.append(
-            f"{t.N} is prime (trial division up to isqrt(N)/4 and the scan "
-            "up to the crossover found nothing)"
+            f"{t.N} is prime (N < 2^64, where the seven-base strong probable prime test is exact)"
+        )
+    elif verdict == "prime":
+        lines.append(
+            f"{t.N} is prime (N >= 2^64: trial division up to isqrt(N)/4 and "
+            "the scan up to the crossover found nothing)"
         )
     elif verdict == "unknown":
         lines.append(

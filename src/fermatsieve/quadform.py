@@ -19,6 +19,10 @@ so pruning with it cannot change the outcome of a search.  The extra
 "heuristic" skips behind ``use_heuristic_filters`` do not share that
 guarantee (the audit module measures how often they misfire) and are off
 by default.
+
+factor_pairs, which the factor command runs, divides N by the a = 1 mod 4
+up to N^(1/3) first, and hands N to sieve_enumerate's scan only when the
+cofactor left is composite or too large for an exact primality test.
 """
 
 from typing import NamedTuple
@@ -44,6 +48,7 @@ __all__ = [
     "filter_kills",
     "search_bounds",
     "sieve_enumerate",
+    "factor_pairs",
     "compositeness_witness",
     "derive_u",
 ]
@@ -271,6 +276,51 @@ def sieve_enumerate(
             if not want_all:
                 break
     return found
+
+
+def _decided(c: int) -> bool:
+    """Whether the cofactor c is 1 or a prime that arith.is_prime decides exactly."""
+    return c == 1 or c < arith.PRIME_TEST_EXACT_BELOW and arith.is_prime(c)
+
+
+def factor_pairs(t: QuadTarget, prime_bound: int = 97, want_all: bool = False) -> list[FactorPair]:
+    """The pairs sieve_enumerate(t, default_filter_primes(t, prime_bound),
+    want_all=want_all) returns, dividing first and scanning only the hard case.
+
+    Every prime factor of N is 1 mod 4, so N is divided by a = 5, 9, 13, ...
+    while a^3 <= N, each factor found removed in full, until the cofactor
+    is 1 or a prime below 2^64, where arith.is_prime is exact; N itself is
+    tested first, so a prime N below 2^64 takes no division.  N's prime
+    factors then give every pair (a, N/a) with a <= sqrt(N): the first pair
+    has the largest such a, and want_all lists them descending in a, which
+    is ascending in u.  Each is validated through derive_u and its own
+    candidate.
+
+    Past the division every prime factor of the cofactor exceeds N^(1/3),
+    so it has at most two.  When it is composite (p*q or p^2), or at least
+    2^64 and so not decided exactly, the target goes to sieve_enumerate,
+    whose pairs or prime verdict are returned as they are.
+    """
+    N = c = t.N
+    primes = []
+    if not _decided(c):
+        for a in range(5, arith.icbrt(N) + 1, 4):
+            if c % a == 0:
+                while c % a == 0:
+                    c //= a
+                    primes.append(a)
+                if _decided(c):
+                    break
+        else:
+            return sieve_enumerate(t, default_filter_primes(t, prime_bound), want_all=want_all)
+    divisors = {1}
+    for p in (*primes, c):
+        divisors |= {d * p for d in divisors}
+    small = sorted((a for a in divisors if 1 < a and a * a < N), reverse=True)
+    return [
+        pair_from_candidate(t, try_candidate(t, derive_u(t, a, N // a)))
+        for a in (small if want_all else small[:1])
+    ]
 
 
 def compositeness_witness(t: QuadTarget) -> Candidate | None:

@@ -29,8 +29,7 @@ def test_factor_prime_exit_1(capsys):
     rc, out, _ = run(capsys, "factor", "--n", "5")
     assert rc == 1
     assert out.endswith(
-        "101 is prime (trial division up to isqrt(N)/4 and the scan "
-        "up to the crossover found nothing)\n"
+        "101 is prime (N < 2^64, where the seven-base strong probable prime test is exact)\n"
     )
 
 
@@ -41,8 +40,8 @@ def test_factor_prime_exit_1(capsys):
         (
             "factor --n 5",
             1,
-            "N = 101 = 4*5^2 + 1 (odd generator)\n101 is prime (trial division up to "
-            "isqrt(N)/4 and the scan up to the crossover found nothing)\n",
+            "N = 101 = 4*5^2 + 1 (odd generator)\n101 is prime (N < 2^64, where the "
+            "seven-base strong probable prime test is exact)\n",
         ),
         (
             "factor --n 9 --all",
@@ -138,6 +137,45 @@ def test_factor_large_prime_verdict_is_fast(capsys):
     results = json.loads(out)["results"]
     assert (results["verdict"], results["pairs"]) == ("prime", [])
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("sieve_enumerate called")
+
+    monkeypatch.setattr(quadform, "sieve_enumerate", scan)
+
+
+def test_factor_divides_out_a_small_factor_without_the_scan(no_scan, capsys):
+    # N = 400000080000005 = 5 * 73 * 1095890630137: the cofactor left by
+    # 5 and 73 is a prime below 2^64, decided exactly
+    rc, out, _ = run(capsys, "factor", "--n", "10000001", "--json")
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert results["verdict"] == "composite"
+    assert [(p["a"], p["b"]) for p in results["pairs"]] == [(365, 1095890630137)]
+
+
+def test_factor_prime_below_2_64_without_the_scan(no_scan, capsys):
+    rc, out, _ = run(capsys, "factor", "--n", "10000013")
+    assert rc == 1
+    assert out.endswith(
+        "400001040000677 is prime (N < 2^64, where the seven-base strong probable prime "
+        "test is exact)\n"
+    )
+
+
+def test_factor_prime_at_2_64_names_the_scan(monkeypatch, capsys):
+    # N = 4 * 2147483662^2 + 1 >= 2^64, where is_prime is not exact: the
+    # verdict is the scan's (stubbed here; the real scan runs for minutes)
+    monkeypatch.setattr(quadform, "sieve_enumerate", lambda *args, **kwargs: [])
+    rc, out, _ = run(capsys, "factor", "--n", "2147483662")
+    assert rc == 1
+    assert out.endswith(
+        "18446744314227720977 is prime (N >= 2^64: trial division up to isqrt(N)/4 and "
+        "the scan up to the crossover found nothing)\n"
+    )
 
 
 @pytest.mark.parametrize(

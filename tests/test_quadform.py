@@ -230,6 +230,28 @@ def test_heuristic_filters_can_change_the_found_pair():
     assert [(p.a, p.b) for p in heuristic] == [(5, 65)]
 
 
+def test_each_class_reaches_the_kernel_once(monkeypatch):
+    # factor's QR classes of 11 and 17 to 37 are square screens too, and
+    # square_centers does not add those screens a second time
+    reached = []
+    kernel = arith.sieve_progression
+
+    def recorded(start, stop, kills=()):
+        reached.append(list(kills))
+        return kernel(start, stop, kills)
+
+    monkeypatch.setattr(arith, "sieve_progression", recorded)
+    t = quadform.make_target(3001)  # N = 36024005 = 5 * 7204801
+    primes = quadform.default_filter_primes(t)
+    quadform.sieve_enumerate(t, primes)
+    filters = quadform.filter_kills(t, primes, False)
+    step, offset = quadform.CENTER_STEP, t.offset
+    screens = arith.nonsquare_classes(t.N, step, offset)
+    shared = arith.nonsquare_classes(t.N, step, offset, (11, 17, 19, 23, 29, 31, 37))
+    assert reached == [filters + [k for k in screens if k not in shared]]
+    assert len(filters) == 23 and len(reached[0]) == 23 + 10 - 7
+
+
 def test_qr_filters_never_change_results():
     for t in composite_targets(300):
         primes = quadform.default_filter_primes(t)
@@ -303,6 +325,79 @@ def test_crossover_trial_pairs_follow_scan_pairs():
         (5, 2785, 174, 1390),
     ]
     assert _as_tuples(quadform.sieve_enumerate(t, ())) == [(25, 557, 36, 266)]
+
+
+def _scan_recorder(monkeypatch):
+    """Stub sieve_enumerate so that it still scans, and list the n it gets."""
+    scan = quadform.sieve_enumerate
+    scanned = []
+
+    def recorded(t, *args, **kwargs):
+        scanned.append(t.n)
+        return scan(t, *args, **kwargs)
+
+    monkeypatch.setattr(quadform, "sieve_enumerate", recorded)
+    return scan, scanned
+
+
+def _assert_factor_pairs_match_the_scan(monkeypatch, generators):
+    """factor_pairs gives the pairs of the scan it replaces, with and
+    without want_all; returns the n that went to the scan."""
+    scan, scanned = _scan_recorder(monkeypatch)
+    for n in generators:
+        t = quadform.make_target(n)
+        primes = quadform.default_filter_primes(t)
+        for want_all in (False, True):
+            expected = scan(t, primes, want_all=want_all)
+            assert quadform.factor_pairs(t, want_all=want_all) == expected, (n, want_all)
+    return sorted(set(scanned))
+
+
+def test_factor_pairs_match_the_scan_below_5000(monkeypatch):
+    hard = _assert_factor_pairs_match_the_scan(monkeypatch, range(1, 5000))
+    # the hard cases: N = p*q, or p^2, times the factors up to N^(1/3)
+    assert 3013 in hard and 3021 in hard  # 653 * 55609, 5 * 821 * 8893
+    assert sum(3000 <= n < 5000 for n in hard) == 427
+
+
+def test_factor_pairs_match_the_scan_near_1e5_and_1e7(monkeypatch):
+    near_1e5 = range(10**5 - 100, 10**5 + 100)
+    # 5 * 73 * 1095890630137, a prime N, and the hard 17 * 37 * 575401 * 1105193
+    # and 5 * 2570437 * 31123181 (each a cofactor of two primes above N^(1/3))
+    near_1e7 = (10**7 + 1, 10000013, 9999993, 10000011)
+    hard = _assert_factor_pairs_match_the_scan(monkeypatch, [*near_1e5, *near_1e7])
+    assert {9999993, 10000011} <= set(hard) and 10**7 + 1 not in hard
+
+
+def test_factor_pairs_scan_only_the_hard_cofactors(monkeypatch):
+    _, scanned = _scan_recorder(monkeypatch)
+    # easy: the cofactor is 1 or a prime below 2^64 (325 = 5^2 * 13, then
+    # 365 * 1095890630137 and a prime N)
+    for n in (9, 10**7 + 1, 10000013):
+        quadform.factor_pairs(quadform.make_target(n))
+    assert scanned == []
+    # 36312677 = 653 * 55609, both above N^(1/3) = 331
+    assert _as_tuples(quadform.factor_pairs(quadform.make_target(3013))) == [
+        (653, 55609, 3516, 27478)
+    ]
+    # 5 * 821 * 8893: the cofactor 821 * 8893 is composite after the 5
+    assert [p.a for p in quadform.factor_pairs(quadform.make_target(3021), want_all=True)] == [
+        4105, 821, 5
+    ]
+    assert scanned == [3013, 3021]
+
+
+def test_factor_pairs_scan_a_cofactor_of_64_bits(monkeypatch):
+    # N = 4 * 2147483662^2 + 1 >= 2^64 is (probably) prime: no division up
+    # to N^(1/3) splits it, and is_prime is not exact there
+    calls = []
+    monkeypatch.setattr(
+        quadform, "sieve_enumerate", lambda t, primes, **kw: calls.append((t.n, primes, kw))
+    )
+    t = quadform.make_target(2147483662)
+    assert t.N >= arith.PRIME_TEST_EXACT_BELOW
+    assert quadform.factor_pairs(t, prime_bound=13, want_all=True) is None
+    assert calls == [(2147483662, [3, 5, 7, 11, 13], {"want_all": True})]
 
 
 def test_compositeness_witness_examples():
