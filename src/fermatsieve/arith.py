@@ -128,7 +128,7 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
     q divides N every discriminant is a square mod q and every bit is set.
     The default moduli are the square screens, _SCREENS, that
     square_centers adds to every scan; callers pass other moduli only for
-    filters of their own, such as factor's QR primes.  Classes are cached
+    filters of their own, as --heuristic-filters does.  Classes are cached
     by (q, N mod q, step mod q, offset mod q), on which alone they depend;
     each is a pair of ints, so no caller can change what the cache holds.
     """
@@ -242,8 +242,8 @@ def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=
     proper split N = (c - r)(c + r).  The square screens,
     nonsquare_classes(N, step, offset), join the kill classes, so only the
     u they leave reach the exact square test; negative discriminants are
-    never squares.  A screen that the caller already passes, as factor
-    does with its QR classes of 11 and 17 to 37, is not added again.
+    never squares.  A screen the caller already passes (--heuristic-filters
+    passes the QR classes of 11 and 17 to 37) is not added again.
     """
     kills = list(kills)
     own = set(kills)

@@ -458,6 +458,8 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     try:
         (a, b), p = v.pair, v.modulus
         if c.family == "fermat":
+            if v.n > fermat_numbers.MAX_INDEX:  # F_31 alone is a 256 MiB integer
+                return False
             t = fermat_numbers.make_fermat(v.n)
             x = _Fermat(t, t.value, v.pair)
         else:

@@ -1,9 +1,9 @@
 """Candidate-count and wall-time comparison of factoring strategies.
 
 Each strategy times one call: a trial-division loop, fermat_factor, or
-for the QuadInterval strategies sieve_enumerate, the paper's scan, which
-factor runs only when division up to N^(1/3) leaves a composite cofactor
-or one of 64 bits or more (quadform.factor_pairs).
+for the QuadInterval strategies sieve_enumerate, the paper's scan:
+QuadInterval makes factor's call on a hard case (quadform.factor_pairs),
+and QuadIntervalQRFiltered adds the QR classes of the odd primes up to 97.
 Candidate counts are exact, deterministic and counted outside the timed
 calls; wall times are median-of-k on a monotonic clock and are reported,
 never asserted.  A candidate is whatever a strategy pays for: a trial

@@ -47,8 +47,9 @@ EXIT_INCONSISTENT = 3
 #: conversion that CPython sets by default, so from there on "F" is null.
 JSON_F_MAX_INDEX = 13
 
-#: Largest --prime-bound accepted; primes_up_to allocates a byte per integer
-#: up to the bound, so this caps its sieve at 1 MiB.
+#: Largest --prime-bound accepted: it caps primes_up_to's sieve, a byte per
+#: integer, at 1 MiB, but not the class and mask building of --heuristic-filters
+#: and of the audit's E4/O4, which grows with the sum of the primes up to it.
 PRIME_BOUND_MAX = 1 << 20
 
 
@@ -123,14 +124,11 @@ def cmd_factor(args) -> int:
     if args.heuristic_filters:
         primes = quadform.default_filter_primes(t, args.prime_bound)
         pairs = quadform.sieve_enumerate(t, primes, use_heuristic_filters=True, want_all=args.all)
+        negative = "unknown"  # heuristic skips can hide a true witness
     else:
-        pairs = quadform.factor_pairs(t, args.prime_bound, want_all=args.all)
-    if pairs:
-        verdict = "composite"
-    elif args.heuristic_filters:
-        verdict = "unknown"  # heuristic skips can hide a true witness
-    else:
-        verdict = "prime"
+        pairs = quadform.factor_pairs(t, want_all=args.all)
+        negative = "prime"
+    verdict = "composite" if pairs else negative
     parameters = {
         "n": t.n,
         "N": t.N,
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also apply the heuristic congruence skips (may miss factors)",
     )
-    p.add_argument("--prime-bound", type=int, default=97, help="filter primes <= bound")
+    p.add_argument("--prime-bound", type=int, default=97, help="--heuristic-filters' primes <= bound")
     p.add_argument("--json", action="store_true", help="emit a JSON envelope")
     p.set_defaults(func=cmd_factor)
 

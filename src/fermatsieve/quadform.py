@@ -21,8 +21,8 @@ guarantee (the audit module measures how often they misfire) and are off
 by default.
 
 factor_pairs, which the factor command runs, divides N by the a = 1 mod 4
-up to N^(1/3) first, and hands N to sieve_enumerate's scan only when the
-cofactor left is composite or too large for an exact primality test.
+up to N^(1/3) first, and runs sieve_enumerate with no filter primes only
+when the cofactor left is composite or too large for an exact prime test.
 """
 
 from typing import NamedTuple
@@ -283,9 +283,9 @@ def _decided(c: int) -> bool:
     return c == 1 or c < arith.PRIME_TEST_EXACT_BELOW and arith.is_prime(c)
 
 
-def factor_pairs(t: QuadTarget, prime_bound: int = 97, want_all: bool = False) -> list[FactorPair]:
-    """The pairs sieve_enumerate(t, default_filter_primes(t, prime_bound),
-    want_all=want_all) returns, dividing first and scanning only the hard case.
+def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
+    """The pairs sieve_enumerate(t, want_all=want_all) returns, dividing
+    first and scanning only the hard case.
 
     Every prime factor of N is 1 mod 4, so N is divided by a = 5, 9, 13, ...
     while a^3 <= N, each factor found removed in full, until the cofactor
@@ -298,8 +298,8 @@ def factor_pairs(t: QuadTarget, prime_bound: int = 97, want_all: bool = False) -
 
     Past the division every prime factor of the cofactor exceeds N^(1/3),
     so it has at most two.  When it is composite (p*q or p^2), or at least
-    2^64 and so not decided exactly, the target goes to sieve_enumerate,
-    whose pairs or prime verdict are returned as they are.
+    2^64 and so not decided exactly, sieve_enumerate scans the target with
+    no filter primes; its pairs or prime verdict are returned as they are.
     """
     N = c = t.N
     primes = []
@@ -312,7 +312,7 @@ def factor_pairs(t: QuadTarget, prime_bound: int = 97, want_all: bool = False) -
                 if _decided(c):
                     break
         else:
-            return sieve_enumerate(t, default_filter_primes(t, prime_bound), want_all=want_all)
+            return sieve_enumerate(t, want_all=want_all)
     divisors = {1}
     for p in (*primes, c):
         divisors |= {d * p for d in divisors}

@@ -273,8 +273,9 @@ def test_kill_class_examples():
 
 
 def test_many_classes_build_no_byte_mask_once_cached():
-    # factor --prime-bound 5000 at n = 3001: a second scan takes all 671
-    # classes from nonsquare_classes' cache and builds none of them again
+    # the QR classes of factor --heuristic-filters --prime-bound 5000 at
+    # n = 3001: a second scan takes all 671 classes from nonsquare_classes'
+    # cache and builds none of them again
     t = quadform.make_target(3001)
     primes = quadform.default_filter_primes(t, 5000)
     first = quadform.sieve_enumerate(t, primes)

@@ -252,6 +252,22 @@ def test_trivial_pair_does_not_replay():
     assert audit.verify_violation(ClaimId.L2, Violation(5, F5, (-1, -F5), -1, None, "")) is False
 
 
+@pytest.mark.parametrize("claim", sorted(audit.FERMAT_CLAIMS, key=lambda c: c.value))
+@pytest.mark.parametrize("n", [fermat_numbers.MAX_INDEX + 1, 40])
+def test_replay_never_builds_f_n_past_the_cap(monkeypatch, claim, n):
+    # F_31 is a 256 MiB integer and F_40 a 128 GiB one: refuse the record
+    value = fermat_numbers.FermatTarget.value
+
+    def capped(t):
+        if t.index_n > fermat_numbers.MAX_INDEX:
+            raise AssertionError(f"built F_{t.index_n}")
+        return value.fget(t)
+
+    monkeypatch.setattr(fermat_numbers.FermatTarget, "value", property(capped))
+    v = Violation(n, 2 ** 2 ** 5 + 1, (641, 6700417), 5, None, "")
+    assert audit.verify_violation(claim, v) is False
+
+
 def test_every_ledger_violation_replays():
     reports = audit.audit_claims(1, 400) + audit.audit_fermat([4, 5, 6, 7])
     violations = [(r.claim, v) for r in reports for v in r.violations]

@@ -178,6 +178,33 @@ def test_factor_prime_at_2_64_names_the_scan(monkeypatch, capsys):
     )
 
 
+def test_factor_hard_case_scans_with_the_screens_alone(monkeypatch, capsys):
+    # N = 36312677 = 653 * 55609, both above N^(1/3): the scan runs, and
+    # --prime-bound, even at its cap, adds no QR class to the square screens
+    def no_filter_primes(*args):
+        raise AssertionError("default_filter_primes called")
+
+    reached = []
+    kernel = arith.sieve_progression
+
+    def recorded(start, stop, kills=()):
+        reached.append(list(kills))
+        return kernel(start, stop, kills)
+
+    monkeypatch.setattr(quadform, "default_filter_primes", no_filter_primes)
+    monkeypatch.setattr(arith, "sieve_progression", recorded)
+    start = time.perf_counter()
+    bound = str(cli.PRIME_BOUND_MAX)
+    rc, out, _ = run(capsys, "factor", "--n", "3013", "--prime-bound", bound, "--json")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert [(p["a"], p["b"]) for p in results["pairs"]] == [(653, 55609)]
+    t = quadform.make_target(3013)
+    assert reached == [arith.nonsquare_classes(t.N, 8, t.offset)]
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

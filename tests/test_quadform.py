@@ -231,8 +231,9 @@ def test_heuristic_filters_can_change_the_found_pair():
 
 
 def test_each_class_reaches_the_kernel_once(monkeypatch):
-    # factor's QR classes of 11 and 17 to 37 are square screens too, and
-    # square_centers does not add those screens a second time
+    # the default QR classes of 11 and 17 to 37 (--heuristic-filters, bench's
+    # QRFiltered) are square screens too, and square_centers does not add
+    # those screens a second time
     reached = []
     kernel = arith.sieve_progression
 
@@ -341,14 +342,14 @@ def _scan_recorder(monkeypatch):
 
 
 def _assert_factor_pairs_match_the_scan(monkeypatch, generators):
-    """factor_pairs gives the pairs of the scan it replaces, with and
-    without want_all; returns the n that went to the scan."""
+    """factor_pairs gives the pairs of the scan it replaces, the scan with
+    no filter primes, with and without want_all; returns the n that went
+    to the scan."""
     scan, scanned = _scan_recorder(monkeypatch)
     for n in generators:
         t = quadform.make_target(n)
-        primes = quadform.default_filter_primes(t)
         for want_all in (False, True):
-            expected = scan(t, primes, want_all=want_all)
+            expected = scan(t, (), want_all=want_all)
             assert quadform.factor_pairs(t, want_all=want_all) == expected, (n, want_all)
     return sorted(set(scanned))
 
@@ -389,15 +390,16 @@ def test_factor_pairs_scan_only_the_hard_cofactors(monkeypatch):
 
 def test_factor_pairs_scan_a_cofactor_of_64_bits(monkeypatch):
     # N = 4 * 2147483662^2 + 1 >= 2^64 is (probably) prime: no division up
-    # to N^(1/3) splits it, and is_prime is not exact there
+    # to N^(1/3) splits it, and is_prime is not exact there; the scan gets
+    # no filter primes, so only the kernel's square screens prune it
     calls = []
     monkeypatch.setattr(
-        quadform, "sieve_enumerate", lambda t, primes, **kw: calls.append((t.n, primes, kw))
+        quadform, "sieve_enumerate", lambda t, *args, **kw: calls.append((t.n, args, kw))
     )
     t = quadform.make_target(2147483662)
     assert t.N >= arith.PRIME_TEST_EXACT_BELOW
-    assert quadform.factor_pairs(t, prime_bound=13, want_all=True) is None
-    assert calls == [(2147483662, [3, 5, 7, 11, 13], {"want_all": True})]
+    assert quadform.factor_pairs(t, want_all=True) is None
+    assert calls == [(2147483662, (), {"want_all": True})]
 
 
 def test_compositeness_witness_examples():
