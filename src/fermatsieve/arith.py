@@ -17,6 +17,7 @@ __all__ = [
     "nonsquare_classes",
     "sieve_progression",
     "sieve_count",
+    "screened_kills",
     "square_centers",
     "mod_inv",
     "legendre",
@@ -144,6 +145,40 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
 _BLOCK_FIRST = 1 << 12
 _BLOCK_CAP = 1 << 16
 
+#: The most tile bits _FIRST_TILES holds, 0.5 MiB.  A tile is shorter than
+#: _BLOCK_FIRST + 2q <= 3 * _BLOCK_FIRST bits; the screens of every audit
+#: and factor target with n <= 5000 fill 231 tiles, 117 KiB.
+_FIRST_TILES_BITS = 1 << 22
+
+
+class _TileCache(dict):
+    """First-block tiles by kill class: (q, alive) -> (tile, width), the
+    pattern tiled by _tile to _BLOCK_FIRST + q - 1 bits, for q <= _BLOCK_FIRST
+    only.  It is emptied before a tile that would take the widths held past
+    _FIRST_TILES_BITS.  Only the first block's tile is kept: its width is
+    the same for every scan, while the later ones grow to 2(_BLOCK_CAP + q)
+    bits, 16 KiB or more a class, and only long scans reach them."""
+
+    bits = 0  # the sum of the widths held
+
+    def clear(self) -> None:
+        super().clear()
+        self.bits = 0
+
+    def first_tile(self, q: int, alive: int) -> tuple[int, int]:
+        """The first-block tile of the class (q, alive), built on first use."""
+        tile = self.get((q, alive))
+        if tile is None:
+            tile = _tile(alive, q, q, _BLOCK_FIRST + q - 1)
+            if self.bits + tile[1] > _FIRST_TILES_BITS:
+                self.clear()
+            self[q, alive] = tile
+            self.bits += tile[1]
+        return tile
+
+
+_FIRST_TILES = _TileCache()
+
 _NONZERO = bytes(1) + b"\x01" * 255  # translate table: nonzero byte -> 1
 
 
@@ -179,8 +214,13 @@ def _blocks(start: int, stop: int, kills):
     the int block is set when block start + i survives every class.
 
     Each class gets a tile, one period long until a block first reaches
-    it; a class with q < 1 or alive bits past its period is rejected, on
-    an empty range too.
+    it.  Then a class with q <= _BLOCK_FIRST takes its first-block tile
+    from _FIRST_TILES, built once per (q, alive) for the process, if the
+    block is at least _BLOCK_FIRST long; in a shorter range, where few
+    doublings are needed, and for a larger q the tile is doubled as far as
+    the block needs.  Tiles grow per call as later blocks need, and a
+    block that no u survives skips the classes after it.  A class with
+    q < 1 or alive bits past its period is rejected, on an empty range too.
     """
     tiles = []
     for q, alive in kills:
@@ -194,8 +234,10 @@ def _blocks(start: int, stop: int, kills):
         for tile in tiles:
             q, bits, width = tile
             if width < length + q - 1:  # the bits a shift by start % q reaches
-                tile[1:] = _tile(bits, q, width, length + q - 1)
-                bits = tile[1]
+                if width == q <= _BLOCK_FIRST <= length:  # first reached, by a full block
+                    bits, width = _FIRST_TILES.first_tile(q, bits)
+                bits, width = _tile(bits, q, width, length + q - 1)
+                tile[1:] = bits, width
             block &= bits >> (start % q)
             if not block:
                 break  # every u is dropped: the other classes can add nothing
@@ -211,11 +253,12 @@ def sieve_progression(start: int, stop: int, kills=()):
     u is dropped when bit u mod q of alive is clear.  The range is sieved
     in bit-packed blocks, bit i standing for u = block start + i.  Each
     class's pattern is tiled by doubling to cover a block plus q bits when
-    a block first reaches it, and a block is the AND of the tiles shifted
-    to its start, in the order given, up to the first class that leaves
-    it empty.  The survivors are read back in C: the block's bytes are
-    translated to flag the nonzero ones, bytes.find walks those, and a
-    table lists the set bits of each.
+    a block first reaches it, from a cached first-block tile when
+    q <= _BLOCK_FIRST and the block is a full one, and a block is the AND
+    of the tiles shifted to its start, in the order given, up to the first
+    class that leaves it empty.  The survivors are
+    read back in C: the block's bytes are translated to flag the nonzero
+    ones, bytes.find walks those, and a table lists the set bits of each.
     """
     for block_start, block in _blocks(start, stop, kills):
         data = block.to_bytes((block.bit_length() + 7) // 8, "little")
@@ -234,21 +277,25 @@ def sieve_count(start: int, stop: int, kills=()) -> int:
     return sum(block.bit_count() for _, block in _blocks(start, stop, kills))
 
 
+def screened_kills(N: int, step: int, offset: int, kills=()) -> list:
+    """The classes square_centers ANDs: kills, then the square screens
+    nonsquare_classes(N, step, offset) that kills does not already hold
+    (--heuristic-filters passes the QR classes of 11 and 17 to 37)."""
+    kills = list(kills)
+    own = set(kills)
+    return kills + [k for k in nonsquare_classes(N, step, offset) if k not in own]
+
+
 def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):
     """Yield (u, r) for every u in [start, stop), ascending, outside kills,
     whose center c = step*u + offset gives c^2 - N = r^2 with c - r > 1.
 
     This is Fermat's method on one progression of centers: each hit is the
-    proper split N = (c - r)(c + r).  The square screens,
-    nonsquare_classes(N, step, offset), join the kill classes, so only the
-    u they leave reach the exact square test; negative discriminants are
-    never squares.  A screen the caller already passes (--heuristic-filters
-    passes the QR classes of 11 and 17 to 37) is not added again.
+    proper split N = (c - r)(c + r).  The square screens join the kill
+    classes (screened_kills), so only the u they leave reach the exact
+    square test; negative discriminants are never squares.
     """
-    kills = list(kills)
-    own = set(kills)
-    kills += [k for k in nonsquare_classes(N, step, offset) if k not in own]
-    for u in sieve_progression(start, stop, kills):
+    for u in sieve_progression(start, stop, screened_kills(N, step, offset, kills)):
         c = step * u + offset
         r = is_perfect_square(c * c - N)
         if r is not None and c - r > 1:

@@ -125,7 +125,8 @@ def _admissible_mask(p: int, k: int) -> bytes:
 
 class _Generator:
     """Generator target n with what its claims share, each worked out at
-    most once: the oracle's factor pairs and the interval scan's witness."""
+    most once: the oracle's factor pairs, the interval scan's witness and
+    the E4/O4 mask of each prime."""
 
     index_name = "u"  # how a congruence claim's detail names the index
 
@@ -133,6 +134,7 @@ class _Generator:
         self.t = quadform.make_target(n)
         self.n, self.N = n, self.t.N
         self.family = "even" if self.t.offset == 1 else "odd"
+        self.masks = {}  # p -> its _admissible_mask entry, for every pair
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -181,8 +183,11 @@ def _4u1_zero_mod_p(x, u, p):
 
 
 def _not_admissible(x, u, p):
-    k = x.n % (2 * p)
-    if not _admissible_mask(p, min(k, 2 * p - k) or 2 * p)[u % p]:
+    mask = x.masks.get(p)
+    if mask is None:
+        k = x.n % (2 * p)
+        mask = x.masks[p] = _admissible_mask(p, min(k, 2 * p - k) or 2 * p)
+    if not mask[u % p]:
         return f"u mod {p} = {u % p} not in the admissible residue set"
 
 

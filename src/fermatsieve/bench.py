@@ -8,8 +8,9 @@ Candidate counts are exact, deterministic and counted outside the timed
 calls; wall times are median-of-k on a monotonic clock and are reported,
 never asserted.  A candidate is whatever a strategy pays for: a trial
 divisor, a center of the plain scan up to its hit, or a sieve index that
-survives the residue filters, up to the first pair or the end of the
-sieve's scan.  The sieve's scan stops at the trial-division crossover
+survives the residue filters and the square screens and so reaches the
+exact square test, up to the first pair or the end of the sieve's scan.
+The sieve's scan stops at the trial-division crossover
 (quadform.search_bounds), and the trial divisions past it are not
 counted.
 """
@@ -68,13 +69,15 @@ def _measure(strategy: Strategy, t: quadform.QuadTarget):
     def run():
         return quadform.sieve_enumerate(t, primes, heuristic)
 
-    # the filter survivors from u_min through the first pair's witness u,
+    # the u that reach the square test, those the filter classes and the
+    # square screens leave, from u_min through the first pair's witness u
     # or through the end of the scan when that comes first
     pairs = run()
     span, _ = quadform.search_bounds(t, heuristic)
     stop = min(span.stop, pairs[0].witness_u + 1) if pairs else span.stop
     kills = quadform.filter_kills(t, primes, heuristic)
-    count = arith.sieve_count(span.start, stop, kills)
+    screened = arith.screened_kills(t.N, quadform.CENTER_STEP, t.offset, kills)
+    count = arith.sieve_count(span.start, stop, screened)
     return count, (pairs[0].a, pairs[0].b) if pairs else None, run
 
 

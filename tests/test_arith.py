@@ -319,6 +319,74 @@ def test_sieve_progression_rejects_bad_modulus():
     assert list(arith.sieve_progression(0, 3, [arith.kill_class(1, ())])) == [0, 1, 2]
 
 
+def test_compositeness_witness_same_from_cold_and_warm_tiles():
+    # from n = 289 on, where the scan is at least a block long, the first
+    # scan of each target builds the screens' first-block tiles and the
+    # second takes them from the cache
+    for n in range(1, 2001):
+        t = quadform.make_target(n)
+        arith._FIRST_TILES.clear()
+        cold = quadform.compositeness_witness(t)
+        assert bool(arith._FIRST_TILES) == (n >= 289), n
+        assert quadform.compositeness_witness(t) == cold, n
+
+
+# classes on both sides of the cached bound q <= _BLOCK_FIRST, repeats and
+# classes met before (the same seeds) among them
+_cache_classes = st.lists(
+    st.sampled_from([1, 2, 7, 64, 97, arith._BLOCK_FIRST - 1, arith._BLOCK_FIRST])
+    .flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(0, q - 1), max_size=5).map(tuple)
+        )
+    )
+    | st.integers(arith._BLOCK_FIRST + 1, 3 * arith._BLOCK_FIRST).flatmap(
+        lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), max_size=3).map(tuple))
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**12),
+    st.integers(min_value=0, max_value=3 * arith._BLOCK_FIRST + 50),
+    _cache_classes,
+    st.booleans(),
+)
+def test_sieve_progression_with_cached_tiles_matches_predicate(start, length, kills, cold):
+    if cold:
+        arith._FIRST_TILES.clear()
+    stop = start + length
+    expected = _survivors(start, stop, kills)
+    assert list(arith.sieve_progression(start, stop, _classes(kills))) == expected
+    assert list(arith.sieve_progression(start, stop, _classes(kills))) == expected
+    assert arith.sieve_count(start, stop, _classes(kills)) == len(expected)
+
+
+def test_first_tile_cache_stays_under_its_bounds():
+    # two scans with a class of every odd prime up to 2^14: 563 of each set
+    # have q <= _BLOCK_FIRST, more tile bits than the cache holds, so it is
+    # emptied on the way, and the scans still match the predicate
+    arith._FIRST_TILES.clear()
+    primes = arith.primes_up_to(1 << 14)[1:]
+    small = 0
+    for r in (0, 1):
+        kills = [arith.kill_class(p, (r,)) for p in primes]
+        small += sum(q <= arith._BLOCK_FIRST for q, _ in kills)
+        span = range(10**9, 10**9 + arith._BLOCK_FIRST)  # one full block
+        keep = bytearray(b"\x01") * len(span)
+        for p in primes:  # a plain sieve: clear u = r (mod p)
+            first = (r - span.start) % p
+            keep[first::p] = bytes(len(range(first, len(span), p)))
+        expected = [u for u, k in zip(span, keep) if k]
+        assert list(arith.sieve_progression(span.start, span.stop, kills)) == expected
+    cache = arith._FIRST_TILES
+    assert 0 < len(cache) < small == 2 * 563
+    assert all(q <= arith._BLOCK_FIRST for q, _ in cache)
+    assert sum(width for _, width in cache.values()) == cache.bits <= arith._FIRST_TILES_BITS
+
+
 def _plain_square_centers(N, step, offset, start, stop, kills):
     """square_centers' contract as a plain loop over every u: the u outside
     the kill classes whose center c gives c^2 - N = r^2 with c - r > 1."""

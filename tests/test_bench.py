@@ -50,17 +50,23 @@ def test_sound_strategies_always_find():
 
 def test_sieve_counts_stop_at_the_scan_crossover():
     # N = 13 * 3076923077: the pair comes from trial division, far past the
-    # scan's stop, and no u of the scan survives the QR filters
+    # scan's stop; the square screens pass 7 of the scan's 28124 u to the
+    # square test, and the QR filters with the screens none
     rows = bench.run_bench(
         [100000], [Strategy.QUAD_INTERVAL, Strategy.QUAD_INTERVAL_QR], repetitions=1
     )
     span, _ = quadform.search_bounds(quadform.make_target(100000))
-    assert [r.candidates_examined for r in rows] == [len(span), 0]  # 28124 u
+    assert len(span) == 28124
+    assert [r.candidates_examined for r in rows] == [7, 0]
     assert [r.pair for r in rows] == [(13, 3076923077)] * 2
-    # n = 30: the scan visits 7 u, and its witness u = 18 lies past them
+    # n = 30: the scan visits 7 u, the screens drop all of them, and its
+    # witness u = 18 lies past them
     (row,) = bench.run_bench([30], [Strategy.QUAD_INTERVAL], repetitions=1)
-    span, _ = quadform.search_bounds(quadform.make_target(30))
-    assert row.candidates_examined == arith.sieve_count(span.start, span.stop) == 7
+    t = quadform.make_target(30)
+    span, _ = quadform.search_bounds(t)
+    screens = arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)
+    assert len(span) == 7
+    assert row.candidates_examined == arith.sieve_count(span.start, span.stop, screens) == 0
     assert row.pair == (13, 277)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
 import errno
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatsieve import arith, cli, quadform
 
@@ -101,6 +104,64 @@ def test_factor_json_bytes_stable(capsys):
     _, one, _ = run(capsys, "factor", "--n", "9", "--all", "--json")
     _, two, _ = run(capsys, "factor", "--n", "9", "--all", "--json")
     assert one == two
+
+
+#: sha256 of the ledger file `audit --range 1:400 --claims all --json PATH`
+#: writes and of the stdout of `factor --n N --all --json` over n in
+#: [2, 200), both as json.dumps(sort_keys=True, indent=2) wrote the envelope.
+AUDIT_ENVELOPE_SHA256 = "fec4dcebd51419388d68e872b329b7ef92003d634c10bdcd2d9b2e28b3ff142c"
+FACTOR_ENVELOPES_SHA256 = "aca389b3cbfb9ab3104d6212a39b00b3871cf457539c217e07b5fff947e6b482"
+
+
+def test_audit_envelope_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    rc, _, _ = run(capsys, "audit", "--range", "1:400", "--claims", "all", "--json", str(path))
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == AUDIT_ENVELOPE_SHA256
+
+
+def test_factor_envelopes_bytes_pinned(capsys):
+    digest = hashlib.sha256()
+    for n in range(2, 200):
+        _, out, _ = run(capsys, "factor", "--n", str(n), "--all", "--json")
+        digest.update(out.encode())
+    assert digest.hexdigest() == FACTOR_ENVELOPES_SHA256
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+# besides what st.text draws
+_json_text = st.text() | st.lists(
+    st.sampled_from(
+        ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "a"]
+    )
+).map("".join)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(1 << 80), max_value=1 << 80)
+    | _json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_envelope_writer_matches_json_dumps(value):
+    payload = {"command": "x", "parameters": {}, "results": value, "tool_version": "0.1.0"}
+    expected = json.dumps(payload, sort_keys=True, indent=2)
+    assert cli._envelope("x", {}, value) == expected
+    out = []
+    cli._encode(value, "", out)
+    assert "".join(out) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_envelope_writer_rejects_what_no_command_returns():
+    for value in (1.5, {1: 2}, {"a": {3}}, [b"x"]):
+        with pytest.raises(TypeError):
+            cli._envelope("x", {}, value)
 
 
 def test_factor_heuristic_filters_not_a_verdict(capsys):
