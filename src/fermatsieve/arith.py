@@ -20,7 +20,6 @@ __all__ = [
     "screened_kills",
     "square_centers",
     "mod_inv",
-    "legendre",
     "PRIME_TEST_EXACT_BELOW",
     "is_prime",
     "primes_up_to",
@@ -145,40 +144,6 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
 _BLOCK_FIRST = 1 << 12
 _BLOCK_CAP = 1 << 16
 
-#: The most tile bits _FIRST_TILES holds, 0.5 MiB.  A tile is shorter than
-#: _BLOCK_FIRST + 2q <= 3 * _BLOCK_FIRST bits; the screens of every audit
-#: and factor target with n <= 5000 fill 231 tiles, 117 KiB.
-_FIRST_TILES_BITS = 1 << 22
-
-
-class _TileCache(dict):
-    """First-block tiles by kill class: (q, alive) -> (tile, width), the
-    pattern tiled by _tile to _BLOCK_FIRST + q - 1 bits, for q <= _BLOCK_FIRST
-    only.  It is emptied before a tile that would take the widths held past
-    _FIRST_TILES_BITS.  Only the first block's tile is kept: its width is
-    the same for every scan, while the later ones grow to 2(_BLOCK_CAP + q)
-    bits, 16 KiB or more a class, and only long scans reach them."""
-
-    bits = 0  # the sum of the widths held
-
-    def clear(self) -> None:
-        super().clear()
-        self.bits = 0
-
-    def first_tile(self, q: int, alive: int) -> tuple[int, int]:
-        """The first-block tile of the class (q, alive), built on first use."""
-        tile = self.get((q, alive))
-        if tile is None:
-            tile = _tile(alive, q, q, _BLOCK_FIRST + q - 1)
-            if self.bits + tile[1] > _FIRST_TILES_BITS:
-                self.clear()
-            self[q, alive] = tile
-            self.bits += tile[1]
-        return tile
-
-
-_FIRST_TILES = _TileCache()
-
 _NONZERO = bytes(1) + b"\x01" * 255  # translate table: nonzero byte -> 1
 
 
@@ -209,14 +174,28 @@ def _tile(bits: int, q: int, width: int, need: int) -> tuple[int, int]:
     return bits, width
 
 
+#: A first-block tile is shorter than _BLOCK_FIRST + 2q <= 3 * _BLOCK_FIRST
+#: bits, so 256 of them hold at most 3 * 2^20 bits (0.375 MiB), inside a
+#: 2^22-bit ceiling; the screens of every audit and factor target with
+#: n <= 5000 are 231 classes.
+@functools.lru_cache(maxsize=256)
+def _first_tile(q: int, alive: int) -> tuple[int, int]:
+    """The first-block tile of the kill class (q, alive), q <= _BLOCK_FIRST:
+    its pattern tiled to _BLOCK_FIRST + q - 1 bits, with its width.  Only
+    the first block's tile is kept: its width is the same for every scan,
+    while later ones grow to 2(_BLOCK_CAP + q) bits and only long scans
+    reach them."""
+    return _tile(alive, q, q, _BLOCK_FIRST + q - 1)
+
+
 def _blocks(start: int, stop: int, kills):
     """Yield (block start, block) over [start, stop), ascending: bit i of
     the int block is set when block start + i survives every class.
 
     Each class gets a tile, one period long until a block first reaches
     it.  Then a class with q <= _BLOCK_FIRST takes its first-block tile
-    from _FIRST_TILES, built once per (q, alive) for the process, if the
-    block is at least _BLOCK_FIRST long; in a shorter range, where few
+    from _first_tile, an lru_cache of 256 classes keyed by (q, alive), if
+    the block is at least _BLOCK_FIRST long; in a shorter range, where few
     doublings are needed, and for a larger q the tile is doubled as far as
     the block needs.  Tiles grow per call as later blocks need, and a
     block that no u survives skips the classes after it.  A class with
@@ -235,7 +214,7 @@ def _blocks(start: int, stop: int, kills):
             q, bits, width = tile
             if width < length + q - 1:  # the bits a shift by start % q reaches
                 if width == q <= _BLOCK_FIRST <= length:  # first reached, by a full block
-                    bits, width = _FIRST_TILES.first_tile(q, bits)
+                    bits, width = _first_tile(q, bits)
                 bits, width = _tile(bits, q, width, length + q - 1)
                 tile[1:] = bits, width
             block &= bits >> (start % q)
@@ -253,7 +232,7 @@ def sieve_progression(start: int, stop: int, kills=()):
     u is dropped when bit u mod q of alive is clear.  The range is sieved
     in bit-packed blocks, bit i standing for u = block start + i.  Each
     class's pattern is tiled by doubling to cover a block plus q bits when
-    a block first reaches it, from a cached first-block tile when
+    a block first reaches it, from the lru_cache _first_tile when
     q <= _BLOCK_FIRST and the block is a full one, and a block is the AND
     of the tiles shifted to its start, in the order given, up to the first
     class that leaves it empty.  The survivors are
@@ -279,11 +258,10 @@ def sieve_count(start: int, stop: int, kills=()) -> int:
 
 def screened_kills(N: int, step: int, offset: int, kills=()) -> list:
     """The classes square_centers ANDs: kills, then the square screens
-    nonsquare_classes(N, step, offset) that kills does not already hold
-    (--heuristic-filters passes the QR classes of 11 and 17 to 37)."""
-    kills = list(kills)
-    own = set(kills)
-    return kills + [k for k in nonsquare_classes(N, step, offset) if k not in own]
+    nonsquare_classes(N, step, offset).  A caller's class that a screen
+    implies is not worth passing: quadform.filter_kills builds no QR class
+    for a prime that divides a screen modulus."""
+    return [*kills, *nonsquare_classes(N, step, offset)]
 
 
 def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):
@@ -307,16 +285,6 @@ def mod_inv(a: int, p: int) -> int:
     if a % p == 0:
         raise ValueError(f"{a} has no inverse modulo {p}")
     return pow(a, -1, p)
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: 0, +1 or -1."""
-    if p <= 2 or p % 2 == 0:
-        raise ValueError("legendre needs an odd prime modulus")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 _SMALL_PRIMES = (

@@ -150,8 +150,8 @@ def pair_from_candidate(t: QuadTarget, cand: Candidate) -> FactorPair:
 
 
 def _check_filter_prime(t: QuadTarget, p: int) -> None:
-    if p == 2:
-        raise ValueError("filter primes must be odd")
+    if p == 2 or not arith.is_prime(p):
+        raise ValueError(f"a filter modulus must be an odd prime, not {p}")
     if t.N % p == 0:
         raise ValueError(f"{p} divides N = {t.N}; it is a factor, not a filter")
 
@@ -171,16 +171,13 @@ def admissible_residues_parametric(t: QuadTarget, p: int) -> set[int]:
 def admissible_residues_qr(t: QuadTarget, p: int) -> set[int]:
     """Residues r of u mod p whose discriminant can be a square mod p.
 
-    Keeps r whenever (8r + offset)^2 - N is a quadratic residue or zero
-    mod p, so a true witness is never excluded.
+    Keeps r whenever (8r + offset)^2 - N is a square (or zero) mod p, so a
+    true witness is never excluded: these are the set bits of the kill
+    class arith.nonsquare_classes builds for p, whose period is p.
     """
     _check_filter_prime(t, p)
-    out = set()
-    for r in range(p):
-        c = CENTER_STEP * r + t.offset
-        if arith.legendre(c * c - t.N, p) != -1:
-            out.add(r)
-    return out
+    ((_, alive),) = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, (p,))
+    return {r for r, bit in enumerate(bin(alive)[:1:-1]) if bit == "1"}  # lowest bit first
 
 
 def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
@@ -190,10 +187,18 @@ def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
 
 def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> list:
     """Kill classes of the QR filters and, when asked, the heuristic skips
-    (u = 0 mod p for even n; 4u + 1 = 0, i.e. u = -4^-1 mod p, for odd n)."""
+    (u = 0 mod p for even n; 4u + 1 = 0, i.e. u = -4^-1 mod p, for odd n),
+    for the square screens to join (arith.screened_kills).
+
+    A QR class is built only for a filter prime that divides no screen
+    modulus: a square mod 63, 65, 11 or 17 to 37 is a square mod each of
+    its prime factors, so the screens drop every u the QR classes of 3, 5,
+    7, 11, 13 and 17 to 37 would.  Every filter prime keeps its skip.
+    """
     if any(p < 3 or p % 2 == 0 for p in filter_primes):
         raise ValueError("filter primes must be odd")
-    kills = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, filter_primes)
+    own = [p for p in filter_primes if all(q % p for q in arith._SCREENS)]
+    kills = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, own)
     if use_heuristic_filters:
         skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
         kills += [arith.kill_class(p, (skip(p),)) for p in filter_primes if p % 4 == 3]

@@ -274,8 +274,8 @@ def test_kill_class_examples():
 
 def test_many_classes_build_no_byte_mask_once_cached():
     # the QR classes of factor --heuristic-filters --prime-bound 5000 at
-    # n = 3001: a second scan takes all 671 classes from nonsquare_classes'
-    # cache and builds none of them again
+    # n = 3001: a second scan takes all 667 classes (657 QR classes and the
+    # 10 screens) from nonsquare_classes' cache and builds none of them again
     t = quadform.make_target(3001)
     primes = quadform.default_filter_primes(t, 5000)
     first = quadform.sieve_enumerate(t, primes)
@@ -325,10 +325,11 @@ def test_compositeness_witness_same_from_cold_and_warm_tiles():
     # second takes them from the cache
     for n in range(1, 2001):
         t = quadform.make_target(n)
-        arith._FIRST_TILES.clear()
+        arith._first_tile.cache_clear()
         cold = quadform.compositeness_witness(t)
-        assert bool(arith._FIRST_TILES) == (n >= 289), n
+        assert (arith._first_tile.cache_info().currsize > 0) == (n >= 289), n
         assert quadform.compositeness_witness(t) == cold, n
+        assert (arith._first_tile.cache_info().hits > 0) == (n >= 289), n
 
 
 # classes on both sides of the cached bound q <= _BLOCK_FIRST, repeats and
@@ -356,7 +357,7 @@ _cache_classes = st.lists(
 )
 def test_sieve_progression_with_cached_tiles_matches_predicate(start, length, kills, cold):
     if cold:
-        arith._FIRST_TILES.clear()
+        arith._first_tile.cache_clear()
     stop = start + length
     expected = _survivors(start, stop, kills)
     assert list(arith.sieve_progression(start, stop, _classes(kills))) == expected
@@ -364,11 +365,20 @@ def test_sieve_progression_with_cached_tiles_matches_predicate(start, length, ki
     assert arith.sieve_count(start, stop, _classes(kills)) == len(expected)
 
 
-def test_first_tile_cache_stays_under_its_bounds():
+def test_first_tile_cache_stays_under_its_bounds(monkeypatch):
     # two scans with a class of every odd prime up to 2^14: 563 of each set
-    # have q <= _BLOCK_FIRST, more tile bits than the cache holds, so it is
-    # emptied on the way, and the scans still match the predicate
-    arith._FIRST_TILES.clear()
+    # have q <= _BLOCK_FIRST, more classes than the cache holds, so it
+    # evicts on the way, and the scans still match a plain sieve
+    cached = arith._first_tile
+    asked = []
+
+    def recorded(q, alive):
+        tile = cached(q, alive)
+        asked.append((q, tile[1]))
+        return tile
+
+    monkeypatch.setattr(arith, "_first_tile", recorded)
+    cached.cache_clear()
     primes = arith.primes_up_to(1 << 14)[1:]
     small = 0
     for r in (0, 1):
@@ -381,10 +391,12 @@ def test_first_tile_cache_stays_under_its_bounds():
             keep[first::p] = bytes(len(range(first, len(span), p)))
         expected = [u for u, k in zip(span, keep) if k]
         assert list(arith.sieve_progression(span.start, span.stop, kills)) == expected
-    cache = arith._FIRST_TILES
-    assert 0 < len(cache) < small == 2 * 563
-    assert all(q <= arith._BLOCK_FIRST for q, _ in cache)
-    assert sum(width for _, width in cache.values()) == cache.bits <= arith._FIRST_TILES_BITS
+    info = cached.cache_info()
+    assert 0 < info.currsize <= info.maxsize < len(asked) == small == 2 * 563
+    # each key is a class with q <= _BLOCK_FIRST, each tile is shorter than
+    # 3 * _BLOCK_FIRST bits, and so a full cache holds at most 2^22 bits
+    assert all(q <= arith._BLOCK_FIRST and width < 3 * arith._BLOCK_FIRST for q, width in asked)
+    assert info.maxsize * 3 * arith._BLOCK_FIRST <= 1 << 22
 
 
 def _plain_square_centers(N, step, offset, start, stop, kills):
@@ -442,32 +454,6 @@ def test_mod_inv_property_to_1000():
             continue
         for a in range(1, p):
             assert arith.mod_inv(a, p) * a % p == 1
-
-
-def test_legendre_examples():
-    assert arith.legendre(2, 7) == 1  # 3^2 = 2 (mod 7)
-    assert arith.legendre(3, 7) == -1  # squares mod 7 are {0,1,2,4}
-    assert arith.legendre(14, 7) == 0
-    assert arith.legendre(-1, 5) == 1
-    assert arith.legendre(-1, 7) == -1
-
-
-def test_legendre_counts_residues():
-    for p in arith.primes_up_to(200):
-        if p == 2:
-            continue
-        plus = sum(1 for a in range(1, p) if arith.legendre(a, p) == 1)
-        assert plus == (p - 1) // 2
-
-
-def test_legendre_against_brute_force():
-    for p in arith.primes_up_to(61):
-        if p == 2:
-            continue
-        squares = {a * a % p for a in range(1, p)}
-        for a in range(p):
-            expected = 0 if a == 0 else (1 if a in squares else -1)
-            assert arith.legendre(a, p) == expected
 
 
 def test_is_prime_examples():

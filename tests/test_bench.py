@@ -70,6 +70,30 @@ def test_sieve_counts_stop_at_the_scan_crossover():
     assert row.pair == (13, 277)
 
 
+#: (TrialDivision, PlainFermat, QuadInterval, QuadIntervalQRFiltered,
+#: QuadIntervalHeuristicFiltered) candidate counts; the QR classes that the
+#: square screens imply would drop none of these candidates
+_PINNED_COUNTS = {
+    4: (2, 1, 1, 1, 1),
+    9: (2, 1, 1, 1, 1),
+    16: (2, 1, 1, 1, 1),
+    30: (6, 85, 0, 0, 0),
+    56: (2, 17, 1, 1, 1),
+    3013: (326, 22105, 0, 0, 1),
+    3021: (2, 457, 1, 1, 1),
+    100000: (6, 1538261545, 7, 0, 13),
+}
+
+
+def test_candidate_counts_pinned():
+    rows = bench.run_bench(list(_PINNED_COUNTS), repetitions=1)
+    got = {}
+    for row in rows:
+        got.setdefault(row.target_n, []).append(row.candidates_examined)
+    assert [r.strategy for r in rows[:5]] == [s.value for s in Strategy]
+    assert {n: tuple(counts) for n, counts in got.items()} == _PINNED_COUNTS
+
+
 def test_heuristic_strategy_reports_misses_honestly():
     # n=30: the only witness u=18 is divisible by 3, so the heuristic skip
     # loses it and the strategy legitimately fails to factor.

@@ -134,6 +134,33 @@ def test_admissible_residue_rejections():
         quadform.admissible_residues_qr(t65, 5)
 
 
+@pytest.mark.parametrize("p", [1, 9, 15, -3])
+@pytest.mark.parametrize(
+    "residues", [quadform.admissible_residues_parametric, quadform.admissible_residues_qr]
+)
+def test_admissible_residues_reject_a_modulus_that_is_no_odd_prime(residues, p):
+    # N = 401 is prime, so no p here divides it
+    with pytest.raises(ValueError, match="odd prime"):
+        residues(quadform.make_target(10), p)
+
+
+def test_qr_residues_match_eulers_criterion():
+    # the QR set, read off the square-residue table, against Euler's
+    # criterion: a is a square or zero mod the odd prime p exactly when
+    # a^((p - 1)/2) is 0 or 1 mod p
+    primes = arith.primes_up_to(199)[1:]
+    for n in range(1, 301):
+        t = quadform.make_target(n)
+        for p in primes:
+            if t.N % p == 0:
+                continue
+            half = (p - 1) // 2
+            expected = {
+                r for r in range(p) if pow((8 * r + t.offset) ** 2 - t.N, half, p) in (0, 1)
+            }
+            assert quadform.admissible_residues_qr(t, p) == expected, (n, p)
+
+
 def test_filter_duality_small_sweep():
     primes = [p for p in arith.primes_up_to(61) if p != 2]
     for n in range(1, 121):
@@ -231,9 +258,10 @@ def test_heuristic_filters_can_change_the_found_pair():
 
 
 def test_each_class_reaches_the_kernel_once(monkeypatch):
-    # the default QR classes of 11 and 17 to 37 (--heuristic-filters, bench's
-    # QRFiltered) are square screens too, and square_centers does not add
-    # those screens a second time
+    # the square screens imply the QR classes of the default filter primes
+    # that divide a screen modulus (3 and 7 | 63, 13 | 65, 11 and 17 to 37),
+    # so filter_kills builds only those of 41 to 97, and the kernel gets
+    # each of them and each screen once
     reached = []
     kernel = arith.sieve_progression
 
@@ -248,9 +276,9 @@ def test_each_class_reaches_the_kernel_once(monkeypatch):
     filters = quadform.filter_kills(t, primes, False)
     step, offset = quadform.CENTER_STEP, t.offset
     screens = arith.nonsquare_classes(t.N, step, offset)
-    shared = arith.nonsquare_classes(t.N, step, offset, (11, 17, 19, 23, 29, 31, 37))
-    assert reached == [filters + [k for k in screens if k not in shared]]
-    assert len(filters) == 23 and len(reached[0]) == 23 + 10 - 7
+    assert filters == arith.nonsquare_classes(t.N, step, offset, [p for p in primes if p > 37])
+    assert reached == [filters + screens]
+    assert len(primes) == 23 and len(filters) == 13 and len(set(reached[0])) == 13 + 10
 
 
 def test_qr_filters_never_change_results():
