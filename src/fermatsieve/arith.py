@@ -194,11 +194,10 @@ def _blocks(start: int, stop: int, kills):
 
     Each class gets a tile, one period long until a block first reaches
     it.  Then a class with q <= _BLOCK_FIRST takes its first-block tile
-    from _first_tile, an lru_cache of 256 classes keyed by (q, alive), if
-    the block is at least _BLOCK_FIRST long; in a shorter range, where few
-    doublings are needed, and for a larger q the tile is doubled as far as
-    the block needs.  Tiles grow per call as later blocks need, and a
-    block that no u survives skips the classes after it.  A class with
+    from _first_tile, an lru_cache of 256 classes keyed by (q, alive),
+    whatever the length of the range; for a larger q the tile is doubled
+    as far as the block needs.  Tiles grow per call as later blocks need,
+    and a block that no u survives skips the classes after it.  A class with
     q < 1 or alive bits past its period is rejected, on an empty range too.
     """
     tiles = []
@@ -213,7 +212,7 @@ def _blocks(start: int, stop: int, kills):
         for tile in tiles:
             q, bits, width = tile
             if width < length + q - 1:  # the bits a shift by start % q reaches
-                if width == q <= _BLOCK_FIRST <= length:  # first reached, by a full block
+                if width == q <= _BLOCK_FIRST:  # first reached
                     bits, width = _first_tile(q, bits)
                 bits, width = _tile(bits, q, width, length + q - 1)
                 tile[1:] = bits, width
@@ -233,11 +232,11 @@ def sieve_progression(start: int, stop: int, kills=()):
     in bit-packed blocks, bit i standing for u = block start + i.  Each
     class's pattern is tiled by doubling to cover a block plus q bits when
     a block first reaches it, from the lru_cache _first_tile when
-    q <= _BLOCK_FIRST and the block is a full one, and a block is the AND
-    of the tiles shifted to its start, in the order given, up to the first
-    class that leaves it empty.  The survivors are
-    read back in C: the block's bytes are translated to flag the nonzero
-    ones, bytes.find walks those, and a table lists the set bits of each.
+    q <= _BLOCK_FIRST, and a block is the AND of the tiles shifted to its
+    start, in the order given, up to the first class that leaves it empty.
+    The survivors are read back in C: the block's bytes are translated to
+    flag the nonzero ones, bytes.find walks those, and a table lists the
+    set bits of each.
     """
     for block_start, block in _blocks(start, stop, kills):
         data = block.to_bytes((block.bit_length() + 7) // 8, "little")

@@ -422,18 +422,19 @@ def audit_fermat(
     else is kept between calls.  Indices whose factorization is out of
     reach within search_budget are skipped with a notice in the range
     description, and indices below the machinery's preconditions are
-    probed and labeled rather than audited.  An index above
-    fermat_numbers.MAX_INDEX raises ValueError before any search.
+    probed and labeled rather than audited.  Every target is built by
+    fermat_numbers.make_fermat before any search, so an index it refuses
+    raises its ValueError first.
     """
     indices = sorted(set(indices))
-    if indices and indices[-1] > fermat_numbers.MAX_INDEX:
-        raise ValueError(f"Fermat index must be <= {fermat_numbers.MAX_INDEX}")
+    targets = [fermat_numbers.make_fermat(idx) for idx in indices]
     odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
     claims = [c for c in CLAIMS if c.family == "fermat"]
     tallies = {c.id: [0, []] for c in claims}
     # range_tested: the range, then a note per index skipped or probed
     notes = [f"F indices {indices}; primes <= {prime_bound}"]
-    for idx in indices:
+    for t in targets:
+        idx = t.index_n
         a, note = _fermat_divisor(idx, search_budget)
         if a is None:
             notes.append(note)
@@ -443,7 +444,6 @@ def audit_fermat(
                 f"F_{idx}: composite; out-of-precondition probe "
                 "(center-index interval needs index >= 5)"
             )
-        t = fermat_numbers.make_fermat(idx)
         F = t.value
         _check(claims, _Fermat(t, F, (a, F // a)), tallies, odd_primes)
     range_desc = "; ".join(notes)
@@ -463,9 +463,7 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     try:
         (a, b), p = v.pair, v.modulus
         if c.family == "fermat":
-            if v.n > fermat_numbers.MAX_INDEX:  # F_31 alone is a 256 MiB integer
-                return False
-            t = fermat_numbers.make_fermat(v.n)
+            t = fermat_numbers.make_fermat(v.n)  # refuses n past MAX_INDEX before F_n is built
             x = _Fermat(t, t.value, v.pair)
         else:
             x = _Generator(v.n)
@@ -498,28 +496,21 @@ def report_to_dict(report: ClaimReport) -> dict:
 def parse_claim_spec(spec: str) -> set[ClaimId]:
     """Parse a comma-separated claim list; 'all' selects everything.
 
-    Bare 'E5a', 'E5b' and 'E6' expand to both conditioning readings.
+    A token names a claim id, or the head of its readings: bare 'E5a',
+    'E5b' and 'E6' select both conditioning readings (_n and _m).
     """
     spec = spec.strip()
     if spec.lower() == "all":
         return set(ClaimId)
-    by_value = {c.value.lower(): c for c in ClaimId}
-    groups: dict[str, set[ClaimId]] = {}  # "e5a" -> E5a_n and E5a_m, ...
-    for c in ClaimId:
-        head, _, reading = c.value.lower().partition("_")
-        if reading:
-            groups.setdefault(head, set()).add(c)
     out: set[ClaimId] = set()
     for token in spec.split(","):
         token = token.strip().lower()
         if not token:
             continue
-        if token in groups:
-            out |= groups[token]
-        elif token in by_value:
-            out.add(by_value[token])
-        else:
+        matched = {c for c in ClaimId if token in (c.lower(), c.lower().partition("_")[0])}
+        if not matched:
             raise ValueError(f"unknown claim id: {token}")
+        out |= matched
     if not out:
         raise ValueError("empty claim list")
     return out

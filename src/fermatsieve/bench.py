@@ -84,20 +84,28 @@ def _measure(strategy: Strategy, t: quadform.QuadTarget):
 def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
     """Benchmark each strategy on each composite target N = 4n^2 + 1.
 
-    Prime targets are rejected up front.  The unsound heuristic-filtered
-    strategy may legitimately fail to find a pair (it can skip every true
-    witness); the others always succeed on a composite target.
+    strategies holds Strategy members or their names, None for all of
+    them.  Every argument is checked before anything is timed: an unknown
+    strategy, repetitions < 1, a generator n < 1 and a prime target raise
+    ValueError up front.  The unsound heuristic-filtered strategy may
+    legitimately fail to find a pair (it can skip every true witness); the
+    others always succeed on a composite target.
     """
+    try:
+        chosen = list(Strategy) if strategies is None else [Strategy(s) for s in strategies]
+    except ValueError:
+        names = ", ".join(s.value for s in Strategy)
+        raise ValueError(f"strategies must come from: {names}") from None
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    chosen = list(strategies) if strategies is not None else list(Strategy)
-    rows = []
-    for n in targets:
-        t = quadform.make_target(n)
+    targets = [quadform.make_target(n) for n in targets]
+    for t in targets:
         if arith.is_prime(t.N):
-            raise ValueError(f"target n={n}: N={t.N} is prime; nothing to factor")
+            raise ValueError(f"target n={t.n}: N={t.N} is prime; nothing to factor")
+    rows = []
+    for t in targets:
         for strategy in chosen:
-            count, pair, run = _measure(Strategy(strategy), t)
+            count, pair, run = _measure(strategy, t)
             timings = []
             for _ in range(repetitions):
                 start = time.perf_counter_ns()
@@ -105,8 +113,8 @@ def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
                 timings.append(time.perf_counter_ns() - start)
             rows.append(
                 BenchRow(
-                    strategy=Strategy(strategy).value,
-                    target_n=n,
+                    strategy=strategy.value,
+                    target_n=t.n,
                     N=t.N,
                     candidates_examined=count,
                     found=pair is not None,

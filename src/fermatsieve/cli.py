@@ -61,7 +61,10 @@ def _fail(message: str) -> int:
 def _encode(value, indent: str, out: list) -> None:
     """Append the JSON of value to out, nested at indent, as json.dumps
     with sort_keys=True and indent=2 writes it: ASCII strings, sorted keys,
-    "," ending a line and ": " after a key, empty containers as [] and {}."""
+    "," ending a line and ": " after a key, empty containers as [] and {}.
+    A list whose items are all exactly int (bool is no int here: it prints
+    true or false) is written by one join, a single string rather than two
+    pieces per item: candidates' residue lists reach 2^19 items."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -77,6 +80,10 @@ def _encode(value, indent: str, out: list) -> None:
             out.append("[]")
             return
         inner = indent + "  "
+        if type(value[0]) is int and all(type(item) is int for item in value):
+            items = (",\n" + inner).join(map(int.__repr__, value))
+            out += ("[\n", inner, items, "\n", indent, "]")
+            return
         separator = "[\n" + inner
         for item in value:
             out.append(separator)
@@ -221,11 +228,12 @@ def cmd_factor(args) -> int:
 
 def cmd_factor_generic(args) -> int:
     N = args.N
-    if N < 9 or N % 2 == 0:
-        return _fail("factor-generic needs odd N >= 9")
     if args.budget is not None and args.budget < 0:
         return _fail("--budget must be >= 0")
-    outcome = fermat_generic.fermat_factor(N, step_budget=args.budget)
+    try:
+        outcome = fermat_generic.fermat_factor(N, step_budget=args.budget)
+    except ValueError as exc:
+        return _fail(str(exc))
     parameters = {"N": N, "budget": args.budget}
     if isinstance(outcome, fermat_generic.SquareSplit):
         c, d, a, b = outcome
@@ -239,17 +247,16 @@ def cmd_factor_generic(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    if args.n < 1:
-        return _fail("need --n >= 1")
-    t = quadform.make_target(args.n)
     p = args.prime
-    if p is not None:
-        if p > PRIME_BOUND_MAX:
-            return _fail(f"--prime must be <= {PRIME_BOUND_MAX}")
-        if p == 2 or not arith.is_prime(p):
-            return _fail("--prime must be an odd prime")
-        if t.N % p == 0:
-            return _fail(f"{p} divides N = {t.N}; it is a factor, not a filter")
+    if p is not None and p > PRIME_BOUND_MAX:
+        return _fail(f"--prime must be <= {PRIME_BOUND_MAX}")
+    try:
+        t = quadform.make_target(args.n)
+        if p is not None:
+            parametric = sorted(quadform.admissible_residues_parametric(t, p))
+            qr = sorted(quadform.admissible_residues_qr(t, p))
+    except ValueError as exc:
+        return _fail(str(exc))
     u_min, u_sup = quadform.u_interval(t)
     span = quadform.u_range(t)
     results = {
@@ -263,8 +270,6 @@ def cmd_candidates(args) -> int:
     shown = f" {results['u_values']}" if 0 < len(span) <= 50 else ""
     lines = ["N = {N}: u in [{u_min}, {u_sup}), {count} candidate(s)".format(**results) + shown]
     if p is not None:
-        parametric = sorted(quadform.admissible_residues_parametric(t, p))
-        qr = sorted(quadform.admissible_residues_qr(t, p))
         results.update(prime=p, parametric=parametric, qr=qr, equal=parametric == qr)
         lines.append(
             "prime {prime}: parametric {parametric} qr {qr} equal={equal}".format(**results)
@@ -290,8 +295,11 @@ def cmd_audit(args) -> int:
     fermat_indices = _int_list(args.fermat_indices)
     if fermat_indices is None:
         return _fail("--fermat-indices must be a comma-separated list of integers")
-    if any(i < 0 or i > fermat_numbers.MAX_INDEX for i in fermat_indices):
-        return _fail(f"--fermat-indices must lie in [0, {fermat_numbers.MAX_INDEX}]")
+    try:
+        for i in fermat_indices:
+            fermat_numbers.make_fermat(i)
+    except ValueError as exc:
+        return _fail(f"--fermat-indices: {exc}")
     if args.prime_bound > PRIME_BOUND_MAX:
         return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
     if args.json and (failed := _refuse_unwritable(args.json)) is not None:
@@ -341,31 +349,25 @@ def cmd_audit(args) -> int:
 
 
 def cmd_fermat(args) -> int:
-    if args.index < 0:
-        return _fail("--index must be >= 0")
-    top = fermat_numbers.MAX_INDEX
-    if args.index > top:
-        return _fail(f"F_n beyond index {top} is not a desk-scale object; refusing")
     if args.budget < 0:
         return _fail("--budget must be >= 0")
-    if args.mode == "lucas" and args.index < 4:
-        return _fail("lucas mode needs index >= 4")
-    if args.mode == "lambda" and args.index < 5:
-        return _fail("lambda mode needs index >= 5")
-    if args.mode == "lambda" and args.index > fermat_numbers.LAMBDA_MAX_INDEX:
-        return _fail(f"lambda mode is bounded to index <= {fermat_numbers.LAMBDA_MAX_INDEX}")
-    t = fermat_numbers.make_fermat(args.index)
+    try:
+        t = fermat_numbers.make_fermat(args.index)
+        if args.mode == "lucas":
+            hits = fermat_numbers.lucas_search(t, args.budget)
+        else:
+            outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
+            hits = outcome.hits
+    except ValueError as exc:
+        return _fail(str(exc))
     name = f"F_{args.index}"
     results = {"F": t.value if args.index <= JSON_F_MAX_INDEX else None}
     if args.mode == "lucas":
-        hits = fermat_numbers.lucas_search(t, args.budget)
         results["divisors"] = [{"s": h.s, "divisor": h.divisor} for h in hits]
         lines = [
             f"s={h['s']} divisor={h['divisor']} divides {name}" for h in results["divisors"]
         ] or [f"no divisor of {name} with s <= {args.budget}"]
     else:
-        outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
-        hits = outcome.hits
         results.update(
             exhausted=outcome.exhausted,
             examined=outcome.examined,
@@ -395,14 +397,9 @@ def cmd_bench(args) -> int:
         return _fail("--targets must be a comma-separated list of integers")
     if not targets:
         return _fail("no targets given")
+    strategies = [s.strip() for s in args.strategies.split(",")]
     if args.strategies.lower() == "all":
-        strategies = list(bench.Strategy)
-    else:
-        try:
-            strategies = [bench.Strategy(s.strip()) for s in args.strategies.split(",")]
-        except ValueError:
-            names = ", ".join(s.value for s in bench.Strategy)
-            return _fail(f"--strategies must be 'all' or a list from: {names}")
+        strategies = None  # run_bench's default, every strategy
     if args.csv and (failed := _refuse_unwritable(args.csv)) is not None:
         return failed
     try:

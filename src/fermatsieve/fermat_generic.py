@@ -37,7 +37,7 @@ def fermat_factor(N: int, step_budget: int | None = None) -> SquareSplit | Verdi
     Verdict.BUDGET_EXHAUSTED.
     """
     if N < 9 or N % 2 == 0:
-        raise ValueError("fermat_factor needs odd N >= 9")
+        raise ValueError("N must be odd and >= 9")
     if step_budget is not None and step_budget < 0:
         raise ValueError("step_budget must be >= 0")
     start, last = arith.ceil_sqrt(N), (N + 9) // 6

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 
-#: Largest Fermat index the CLI and audit_fermat accept: F_30 is a 128 MiB
-#: integer, and past it F_n stops being a desk-scale object.
+#: Largest Fermat index make_fermat accepts: F_30 is a 128 MiB integer,
+#: and past it F_n stops being a desk-scale object.
 MAX_INDEX = 30
 
 #: Largest Fermat index lambda_search accepts.  Each center that passes the
@@ -96,10 +96,13 @@ class LambdaSearchResult(NamedTuple):
 
 
 def make_fermat(index_n: int) -> FermatTarget:
-    """Build the target for F_n.  Callers impose their own size budgets;
-    anything past MAX_INDEX stops being a desk-scale object."""
-    if index_n < 0:
-        raise ValueError("Fermat index must be >= 0")
+    """Build the target for F_n, refusing an index outside [0, MAX_INDEX]
+    before anything is built: the steps have n + 3 and 2n + 4 bits, so
+    make_fermat(10**9) alone would build about 360 MiB of them.  This is
+    the one place the cap is checked; every command and the audit reach
+    F_n through here."""
+    if not 0 <= index_n <= MAX_INDEX:
+        raise ValueError(f"Fermat index must satisfy 0 <= index <= {MAX_INDEX}")
     return FermatTarget(
         index_n=index_n,
         divisor_step=1 << (index_n + 2),
@@ -116,11 +119,9 @@ def _membership_exponent(t: FermatTarget) -> int:
 
 def lucas_check(t: FermatTarget, s: int) -> LucasDivisorCandidate:
     """Membership test for 2^(n+2) s + 1, computed mod the candidate only."""
-    if t.index_n < 4:
-        raise ValueError("divisor-form check needs index >= 4")
+    exponent = _membership_exponent(t)
     if s < 1:
         raise ValueError("s must be >= 1")
-    exponent = _membership_exponent(t)
     divisor = t.divisor_step * s + 1
     residue = (pow(2, exponent, divisor) + s * s) % divisor
     return LucasDivisorCandidate(s=s, divisor=divisor, residue=residue)
@@ -190,11 +191,12 @@ def lambda_search(t: FermatTarget, lam_budget: int, filters: bool = False) -> La
     lam = 0 mod p for the primes p = 3 mod 4 up to 97.  They are
     heuristics: skipped indices are counted, never silently trusted, and
     the searched hit set on F_5 is known to be filter-independent.
-    The index must lie in [5, LAMBDA_MAX_INDEX].
+    The index must lie in [5, LAMBDA_MAX_INDEX]; the upper bound is
+    checked first, before lambda_interval builds bounds of about 2^n bits.
     """
-    lam_min, lam_sup = lambda_interval(t)
     if t.index_n > LAMBDA_MAX_INDEX:
         raise ValueError(f"center search is bounded to index <= {LAMBDA_MAX_INDEX}")
+    lam_min, lam_sup = lambda_interval(t)
     if lam_budget < 0:
         raise ValueError("lam_budget must be >= 0")
     stop = min(lam_sup, lam_min + lam_budget)
@@ -224,8 +226,7 @@ def lambda_of_pair(t: FermatTarget, p: int, q: int) -> int:
     the divisor-form quotient (2^(2^n-2(n+2)) + s^2) / p with
     s = (p - 1) / 2^(n+2).
     """
-    if t.index_n < 4:
-        raise ValueError("pair-to-index recovery needs index >= 4")
+    exponent = _membership_exponent(t)
     if not 1 < p <= q or p * q != t.value:
         raise ValueError(f"({p}, {q}) is not a proper factor pair of F_{t.index_n}")
     center = (p + q) // 2
@@ -240,7 +241,7 @@ def lambda_of_pair(t: FermatTarget, p: int, q: int) -> int:
         raise ArithmeticError(
             f"factor {p} is off the 2^{t.index_n + 2}*s+1 progression"
         )
-    quotient_numerator = (1 << _membership_exponent(t)) + s * s
+    quotient_numerator = (1 << exponent) + s * s
     if quotient_numerator != lam * p:
         raise ArithmeticError(
             f"cross-derivation failed for pair ({p}, {q}): divisor-form quotient "

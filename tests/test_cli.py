@@ -9,7 +9,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermatsieve import arith, cli, quadform
@@ -135,13 +135,15 @@ _json_text = st.text() | st.lists(
         ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "a"]
     )
 ).map("".join)
+_json_ints = st.integers(min_value=-(1 << 80), max_value=1 << 80)
+# lists of ints alone take _encode's one-join path; ints mixed with bools
+# (which print as true/false) or other values must not
 _json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(1 << 80), max_value=1 << 80)
-    | _json_text,
+    st.none() | st.booleans() | _json_ints | _json_text,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_json_ints, min_size=1, max_size=6)
+    | st.lists(_json_ints | st.booleans() | _json_text, min_size=1, max_size=6)
     | st.dictionaries(_json_text, inner, max_size=4),
     max_leaves=40,
 )
@@ -149,6 +151,11 @@ _json_values = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
+@example([1, True])
+@example([True, 1])
+@example([1, "a"])
+@example((1, 2, 3))
+@example({"a": [[1, 2], [False], [3, None]]})
 def test_envelope_writer_matches_json_dumps(value):
     payload = {"command": "x", "parameters": {}, "results": value, "tool_version": "0.1.0"}
     expected = json.dumps(payload, sort_keys=True, indent=2)
@@ -156,6 +163,21 @@ def test_envelope_writer_matches_json_dumps(value):
     out = []
     cli._encode(value, "", out)
     assert "".join(out) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_envelope_writes_long_int_lists_in_bounded_memory():
+    # the two residue lists of `candidates --n 1500 --prime 1048573 --json`
+    # hold 524286 ints each; one line per item used to cost about 140 MiB
+    residues = list(range(1, 1048573, 2))
+    results = {"parametric": residues, "qr": residues[:]}
+    tracemalloc.start()
+    try:
+        text = cli._envelope("candidates", {}, results)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, f"peak {peak >> 20} MiB"
+    assert text.count("\n") == 2 * len(residues) + 10
 
 
 def test_envelope_writer_rejects_what_no_command_returns():
@@ -614,6 +636,51 @@ def test_bench_rejects_prime_target(capsys):
 def test_bench_rejects_unknown_strategy(capsys):
     rc, _, err = run(capsys, "bench", "--targets", "4", "--strategies", "Nope")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        ("fermat --index -1 --mode lucas", "0 <= index <= 30"),
+        ("fermat --index 31 --mode lucas", "0 <= index <= 30"),
+        ("fermat --index 3 --mode lucas", "needs index >= 4"),
+        ("fermat --index 4 --mode lambda", "needs index >= 5"),
+        ("fermat --index 21 --mode lambda", "bounded to index <= 20"),
+        ("candidates --n 0", "generator n must be >= 1"),
+        ("candidates --n 4 --prime 9", "must be an odd prime"),
+        ("candidates --n 4 --prime 1", "must be an odd prime"),
+        ("candidates --n 4 --prime -7", "must be an odd prime"),
+        ("candidates --n 4 --prime 5", "5 divides N = 65"),
+        ("factor-generic --N 100", "N must be odd and >= 9"),
+        ("bench --targets 4,5", "N=101 is prime"),
+        ("bench --targets 4 --strategies Nope", "strategies must come from"),
+        ("audit --range 1:2 --claims CE --fermat-indices 40", "0 <= index <= 30"),
+        ("audit --range 1:2 --claims L2 --fermat-indices 40", "0 <= index <= 30"),
+    ],
+)
+def test_library_refusals_exit_2_before_any_work(monkeypatch, capsys, argv, says):
+    # each rule lives in the library function that takes the argument; the
+    # command reports its ValueError before any search, sweep or timing
+    from fermatsieve import audit, bench, fermat_numbers
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    for module, name in [
+        (arith, "square_centers"),  # the center scans of lambda_search and fermat_factor
+        (arith, "sieve_count"),
+        (arith, "mod_inv"),  # the sweep of admissible_residues_parametric
+        (arith, "nonsquare_classes"),  # that of admissible_residues_qr
+        (bench, "_measure"),
+        (audit, "audit_claims"),
+        (audit, "audit_fermat"),
+    ]:
+        monkeypatch.setattr(module, name, work)
+    monkeypatch.setattr(fermat_numbers.FermatTarget, "value", property(work))
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err
 
 
 def test_audit_exit_3_when_reverification_breaks(monkeypatch, capsys):

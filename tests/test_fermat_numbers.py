@@ -5,6 +5,8 @@ workhorses; both factorizations are re-derived here by search and by
 direct big-integer arithmetic, never assumed.
 """
 
+import tracemalloc
+
 import pytest
 
 from fermatsieve import arith
@@ -32,6 +34,20 @@ def test_make_fermat_examples():
     assert t.divisor_step == 128 and t.center_step == 8192
     with pytest.raises(ValueError):
         fn.make_fermat(-1)
+
+
+@pytest.mark.parametrize("index", [fn.MAX_INDEX + 1, 10**9])
+def test_make_fermat_refuses_past_the_cap_before_building(index):
+    # the steps of F_(10^9) alone, 2^(10^9 + 2) and 2^(2 * 10^9 + 3), are
+    # about 360 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"<= {fn.MAX_INDEX}"):
+            fn.make_fermat(index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_known_pairs_multiply_back():
@@ -175,6 +191,19 @@ def test_lambda_search_rejects_an_index_past_the_cap_before_building_F_n(monkeyp
     _forbid_F_n(monkeypatch)
     with pytest.raises(ValueError, match=f"<= {fn.LAMBDA_MAX_INDEX}"):
         fn.lambda_search(fn.make_fermat(fn.LAMBDA_MAX_INDEX + 1), 10000)
+
+
+def test_lambda_search_refuses_past_its_cap_before_building_its_bounds():
+    # at index 30, lambda_interval's bounds are 2^29- and 2^30-bit integers
+    t = fn.make_fermat(fn.MAX_INDEX)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"<= {fn.LAMBDA_MAX_INDEX}"):
+            fn.lambda_search(t, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_lambda_search_takes_exact_roots_only_past_every_square_screen(monkeypatch):
