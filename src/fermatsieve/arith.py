@@ -17,7 +17,6 @@ __all__ = [
     "nonsquare_classes",
     "sieve_progression",
     "sieve_count",
-    "screened_kills",
     "square_centers",
     "mod_inv",
     "PRIME_TEST_EXACT_BELOW",
@@ -255,24 +254,19 @@ def sieve_count(start: int, stop: int, kills=()) -> int:
     return sum(block.bit_count() for _, block in _blocks(start, stop, kills))
 
 
-def screened_kills(N: int, step: int, offset: int, kills=()) -> list:
-    """The classes square_centers ANDs: kills, then the square screens
-    nonsquare_classes(N, step, offset).  A caller's class that a screen
-    implies is not worth passing: quadform.filter_kills builds no QR class
-    for a prime that divides a screen modulus."""
-    return [*kills, *nonsquare_classes(N, step, offset)]
-
-
 def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):
     """Yield (u, r) for every u in [start, stop), ascending, outside kills,
     whose center c = step*u + offset gives c^2 - N = r^2 with c - r > 1.
 
     This is Fermat's method on one progression of centers: each hit is the
-    proper split N = (c - r)(c + r).  The square screens join the kill
-    classes (screened_kills), so only the u they leave reach the exact
-    square test; negative discriminants are never squares.
+    proper split N = (c - r)(c + r).  The classes ANDed are kills, then the
+    square screens nonsquare_classes(N, step, offset), so only the u they
+    leave reach the exact square test; negative discriminants are never
+    squares.  A caller's class that a screen implies is not worth passing:
+    quadform.filter_kills builds no QR class for a prime that divides a
+    screen modulus.
     """
-    for u in sieve_progression(start, stop, screened_kills(N, step, offset, kills)):
+    for u in sieve_progression(start, stop, [*kills, *nonsquare_classes(N, step, offset)]):
         c = step * u + offset
         r = is_perfect_square(c * c - N)
         if r is not None and c - r > 1:

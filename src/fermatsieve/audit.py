@@ -383,45 +383,45 @@ def audit_claims(
     return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
 
-#: Entries _fermat_divisor keeps: every index audit_fermat accepts (0 to
-#: fermat_numbers.MAX_INDEX), twice over.  An entry is a small divisor or
-#: a short note, never F_n.
-_FERMAT_DIVISOR_CACHE = 64
+#: The divisor-form members s that the audit's Fermat search tests per index.
+_SEARCH_BUDGET = 20000
+
+#: Entries _fermat_divisor keeps: one per index audit_fermat accepts (0 to
+#: fermat_numbers.MAX_INDEX).  An entry is a small divisor or a short
+#: note, never F_n.
+_FERMAT_DIVISOR_CACHE = fermat_numbers.MAX_INDEX + 1
 
 
 @lru_cache(maxsize=_FERMAT_DIVISOR_CACHE)
-def _fermat_divisor(idx: int, search_budget: int):
+def _fermat_divisor(idx: int):
     """(a, None) with the smallest divisor a of F_idx the progression
-    search finds, or (None, note) with the ledger note saying why not.
+    search finds within _SEARCH_BUDGET, or (None, note) with the
+    ledger note saying why not.
 
-    The outcome is a fixed function of (idx, search_budget), so it is kept
-    for the whole process: the search runs once per index and budget.
+    The outcome is a fixed function of idx, so it is kept for the whole
+    process: the search runs once per index.
     """
     t = fermat_numbers.make_fermat(idx)
     if idx < 4:
         status = "prime" if arith.is_prime(t.value) else "composite"
         return None, f"F_{idx}: {status}; divisor-form machinery needs index >= 4"
-    hit = next(fermat_numbers.lucas_divisors(t, search_budget), None)
+    hit = next(fermat_numbers.lucas_divisors(t, _SEARCH_BUDGET), None)
     if hit is not None:
         return hit.divisor, None
-    # every member below sqrt(F_n) tested: the divisor cap 2^k - 1 <= search_budget
-    if (search_budget + 1).bit_length() > fermat_numbers.divisor_cap_bits(t):
+    # every member below sqrt(F_n) tested: the divisor cap 2^k - 1 <= the budget
+    if (_SEARCH_BUDGET + 1).bit_length() > fermat_numbers.divisor_cap_bits(t):
         return None, f"F_{idx}: prime (no divisor below sqrt, scan complete)"
-    return None, f"F_{idx}: skipped, no factorization within search budget {search_budget}"
+    return None, f"F_{idx}: skipped, no factorization within search budget {_SEARCH_BUDGET}"
 
 
-def audit_fermat(
-    indices,
-    prime_bound: int = 97,
-    search_budget: int = 20000,
-) -> list[ClaimReport]:
+def audit_fermat(indices, prime_bound: int = 97) -> list[ClaimReport]:
     """Audit the Fermat-number claims for the given indices.
 
     Factor pairs are recovered by the divisor-form search, not hardcoded;
-    the search runs once per index and budget per process, and nothing
-    else is kept between calls.  Indices whose factorization is out of
-    reach within search_budget are skipped with a notice in the range
-    description, and indices below the machinery's preconditions are
+    the search runs once per index per process, and nothing else is kept
+    between calls.  Indices whose factorization is out of reach within
+    _SEARCH_BUDGET divisor-form members are skipped with a notice in the
+    range description, and indices below the machinery's preconditions are
     probed and labeled rather than audited.  Every target is built by
     fermat_numbers.make_fermat before any search, so an index it refuses
     raises its ValueError first.
@@ -435,7 +435,7 @@ def audit_fermat(
     notes = [f"F indices {indices}; primes <= {prime_bound}"]
     for t in targets:
         idx = t.index_n
-        a, note = _fermat_divisor(idx, search_budget)
+        a, note = _fermat_divisor(idx)
         if a is None:
             notes.append(note)
             continue

@@ -76,7 +76,7 @@ def _measure(strategy: Strategy, t: quadform.QuadTarget):
     span, _ = quadform.search_bounds(t, heuristic)
     stop = min(span.stop, pairs[0].witness_u + 1) if pairs else span.stop
     kills = quadform.filter_kills(t, primes, heuristic)
-    screened = arith.screened_kills(t.N, quadform.CENTER_STEP, t.offset, kills)
+    screened = [*kills, *arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)]
     count = arith.sieve_count(span.start, stop, screened)
     return count, (pairs[0].a, pairs[0].b) if pairs else None, run
 

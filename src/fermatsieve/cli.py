@@ -200,7 +200,7 @@ def cmd_factor(args) -> int:
                 "a": p.a,
                 "b": p.b,
                 "u": p.witness_u,
-                "center": quadform.CENTER_STEP * p.witness_u + t.offset,
+                "center": p.a + p.d,
                 "d": p.d,
             }
             for p in pairs
@@ -259,15 +259,16 @@ def cmd_candidates(args) -> int:
         return _fail(str(exc))
     u_min, u_sup = quadform.u_interval(t)
     span = quadform.u_range(t)
+    count = max(span.stop - span.start, 0)  # len() overflows past sys.maxsize
     results = {
         "N": t.N,
         "parity": t.parity,
         "u_min": u_min,
         "u_sup": f"{u_sup.numerator}/{u_sup.denominator}",
-        "count": len(span),
-        "u_values": list(span) if len(span) <= 1000 else None,
+        "count": count,
+        "u_values": list(span) if count <= 1000 else None,
     }
-    shown = f" {results['u_values']}" if 0 < len(span) <= 50 else ""
+    shown = f" {results['u_values']}" if 0 < count <= 50 else ""
     lines = ["N = {N}: u in [{u_min}, {u_sup}), {count} candidate(s)".format(**results) + shown]
     if p is not None:
         results.update(prime=p, parametric=parametric, qr=qr, equal=parametric == qr)

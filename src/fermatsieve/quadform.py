@@ -126,7 +126,7 @@ def try_candidate(t: QuadTarget, u: int) -> Candidate:
     """Evaluate one index: center, discriminant, and root when it is square."""
     center = CENTER_STEP * u + t.offset
     disc = center * center - t.N
-    root = arith.is_perfect_square(disc) if disc >= 0 else None
+    root = arith.is_perfect_square(disc)  # None below 0 too
     return Candidate(u=u, center=center, disc=disc, root=root)
 
 
@@ -188,7 +188,7 @@ def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
 def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> list:
     """Kill classes of the QR filters and, when asked, the heuristic skips
     (u = 0 mod p for even n; 4u + 1 = 0, i.e. u = -4^-1 mod p, for odd n),
-    for the square screens to join (arith.screened_kills).
+    which arith.square_centers ANDs ahead of its square screens.
 
     A QR class is built only for a filter prime that divides no screen
     modulus: a square mod 63, 65, 11 or 17 to 37 is a square mod each of
@@ -205,10 +205,18 @@ def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> l
     return kills
 
 
-def _last_u_to_split(t: QuadTarget, a: int) -> int:
-    """The last u whose center 8u + offset is at or below (a + N/a) / 2,
-    the center of the (a, N/a) split."""
-    return (a * a + t.N - 2 * a * t.offset) // (2 * CENTER_STEP * a)
+def _to_split(t: QuadTarget, a: int) -> range:
+    """u_range(t) cut after the last u whose center 8u + offset is at or
+    below (a + N/a) / 2, the center of the (a, N/a) split."""
+    span = u_range(t)
+    last = (a * a + t.N - 2 * a * t.offset) // (2 * CENTER_STEP * a)
+    return range(span.start, min(span.stop, last + 1))
+
+
+def _pair(t: QuadTarget, a: int) -> FactorPair:
+    """The pair (a, N/a) of a known divisor a, validated through derive_u
+    and its own candidate."""
+    return pair_from_candidate(t, try_candidate(t, derive_u(t, a, t.N // a)))
 
 
 #: sieve_enumerate trial-divides B/4 values up to B = isqrt(N) // this and
@@ -227,11 +235,10 @@ def search_bounds(t: QuadTarget, use_heuristic_filters: bool = False) -> tuple[r
     first.  With the heuristic filters the scan covers the whole interval
     and B = 0: nothing is trial-divided.
     """
-    span = u_range(t)
     if use_heuristic_filters:
-        return span, 0
+        return u_range(t), 0
     B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
-    return range(span.start, min(span.stop, _last_u_to_split(t, B + 1) + 1)), B
+    return _to_split(t, B + 1), B
 
 
 def sieve_enumerate(
@@ -254,7 +261,7 @@ def sieve_enumerate(
     validated into a FactorPair.  A filter prime that divides N prunes
     nothing: every discriminant is a square modulo it.  The trial pairs
     follow the scan's in descending a, which is ascending u; each is
-    validated through derive_u and its own candidate.
+    validated by _pair.
 
     Returns the first pair, or every pair ascending in u when want_all is
     set.  The factor gap d grows with u, so the first pair (smallest u) is
@@ -276,8 +283,7 @@ def sieve_enumerate(
             return found
     for a in range(B - (B - 1) % 4, 4, -4):  # a = 1 mod 4 from B down; none if B < 5
         if t.N % a == 0:
-            u = derive_u(t, a, t.N // a)
-            found.append(pair_from_candidate(t, try_candidate(t, u)))
+            found.append(_pair(t, a))
             if not want_all:
                 break
     return found
@@ -298,8 +304,7 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
     tested first, so a prime N below 2^64 takes no division.  N's prime
     factors then give every pair (a, N/a) with a <= sqrt(N): the first pair
     has the largest such a, and want_all lists them descending in a, which
-    is ascending in u.  Each is validated through derive_u and its own
-    candidate.
+    is ascending in u.  Each is validated by _pair.
 
     Past the division every prime factor of the cofactor exceeds N^(1/3),
     so it has at most two.  When it is composite (p*q or p^2), or at least
@@ -322,10 +327,7 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
     for p in (*primes, c):
         divisors |= {d * p for d in divisors}
     small = sorted((a for a in divisors if 1 < a and a * a < N), reverse=True)
-    return [
-        pair_from_candidate(t, try_candidate(t, derive_u(t, a, N // a)))
-        for a in (small if want_all else small[:1])
-    ]
+    return [_pair(t, a) for a in (small if want_all else small[:1])]
 
 
 def compositeness_witness(t: QuadTarget) -> Candidate | None:
@@ -336,14 +338,13 @@ def compositeness_witness(t: QuadTarget) -> Candidate | None:
     lies at or below the (5, N/5) split's center, and the scan stops there,
     about halfway through the paper's interval.  It passes no classes, so
     only square_centers' square screens drop a u: those whose discriminant
-    is no square modulo some q, and a square is one modulo every q.  A hit
-    certifies N composite, None prime.
+    is no square modulo some q, and a square is one modulo every q.  The
+    first hit is returned as try_candidate evaluates it, and certifies N
+    composite; None certifies N prime.
     """
-    span = u_range(t)
-    stop = min(span.stop, _last_u_to_split(t, 5) + 1)
-    for u, root in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, stop):
-        center = CENTER_STEP * u + t.offset
-        return Candidate(u=u, center=center, disc=center * center - t.N, root=root)
+    span = _to_split(t, 5)
+    for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop):
+        return try_candidate(t, u)
     return None
 
 

@@ -58,6 +58,23 @@ def test_between_squares_is_not_square(r):
     assert arith.is_perfect_square(r * r + r) is None
 
 
+@pytest.mark.parametrize(
+    "roots",
+    [range(1, 10**4 + 1), [2**k + e for k in range(1, 401) for e in (-1, 1)]],
+    ids=["r<=1e4", "r=2^k+-1"],
+)
+def test_icbrt_around_cubes(roots):
+    for r in roots:
+        cube = r**3
+        assert (arith.icbrt(cube - 1), arith.icbrt(cube), arith.icbrt(cube + 1)) == (r - 1, r, r)
+
+
+def test_icbrt_of_zero_and_negative():
+    assert arith.icbrt(0) == 0
+    with pytest.raises(ValueError):
+        arith.icbrt(-1)
+
+
 def test_sqrt_family_exhaustive_to_1e6():
     root = 0
     for x in range(10**6 + 1):

@@ -415,7 +415,7 @@ def test_audit_fermat_searches_each_index_once(monkeypatch):
 def test_audit_fermat_refuses_indices_past_the_cap(monkeypatch, indices):
     # F_32 has the factor 1479 * 2^34 + 1 within the default budget, and then
     # F_32 and its cofactor are two 512 MiB integers: refuse before searching
-    def no_search(idx, search_budget):
+    def no_search(idx):
         raise AssertionError(f"searched F_{idx}")
 
     monkeypatch.setattr(audit, "_fermat_divisor", no_search)
@@ -471,16 +471,16 @@ def test_l2_never_builds_the_divisor_cap():
     assert audit.verify_violation(ClaimId.L2, beyond)
 
 
-def test_fermat_divisor_cache_is_keyed_by_budget():
-    audit.audit_fermat([6])  # F_6 = 274177 * ..., 274177 = 2^8 * 1071 + 1
-    reports = audit.audit_fermat([6], search_budget=1000)
+def test_audit_fermat_skips_an_index_past_the_search_budget():
+    # F_7's smallest factor is 2^9 * 116503103764643 + 1, far past s = 20000
+    reports = audit.audit_fermat([7])
     assert all(r.instances_tested == 0 for r in reports)
-    assert "F_6: skipped, no factorization within search budget 1000" in reports[0].range_tested
+    assert "F_7: skipped, no factorization within search budget 20000" in reports[0].range_tested
 
 
 def test_fermat_divisor_cache_is_bounded():
     cache = audit._fermat_divisor
-    assert cache.cache_info().maxsize == audit._FERMAT_DIVISOR_CACHE == 64
+    assert cache.cache_info().maxsize == audit._FERMAT_DIVISOR_CACHE == fermat_numbers.MAX_INDEX + 1
 
 
 def test_parse_claim_spec():

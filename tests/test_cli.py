@@ -68,6 +68,12 @@ def test_factor_prime_exit_1(capsys):
             "N = 65: u in [1, 3/2), 1 candidate(s) [1]\n"
             "prime 7: parametric [1, 2, 3, 4] qr [1, 2, 3, 4] equal=True\n",
         ),
+        (
+            "candidates --n 10000000000",  # more u than sys.maxsize: len() would overflow
+            0,
+            "N = 400000000000000000001: u in [2500000000, 99999999999999999999/10), "
+            "9999999997500000000 candidate(s)\n",
+        ),
         ("fermat --index 5 --mode lambda", 0, "lambda=409 center=3350529: F_5 = 641 * 6700417\n"),
         ("fermat --index 5 --mode lambda --budget 3", 1, "no factor pair found (budget exhausted)\n"),
         ("fermat --index 6 --mode lucas --budget 10000", 0, "s=1071 divisor=274177 divides F_6\n"),
@@ -406,6 +412,23 @@ def test_candidates_json(capsys):
     assert results["u_values"] == [2, 3, 4, 5, 6, 7]
     assert results["parametric"] == results["qr"] == [2, 4, 6]
     assert results["equal"] is True
+
+
+@pytest.mark.parametrize("n", [9603838836, 9603838837])
+def test_candidates_either_side_of_the_len_limit(capsys, n):
+    # n = 9603838837 is the first whose u range holds more than sys.maxsize values
+    rc, out, _ = run(capsys, "candidates", "--n", str(n))
+    assert rc == 0
+    assert out.endswith(" candidate(s)\n")
+
+
+def test_candidates_counts_a_range_past_sys_maxsize(capsys):
+    rc, out, _ = run(capsys, "candidates", "--n", "10000000000", "--json")
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert results["count"] == 9999999997500000000
+    assert results["u_sup"] == "99999999999999999999/10"
+    assert results["u_values"] is None
 
 
 def test_audit_o3_report_file(tmp_path, capsys):
