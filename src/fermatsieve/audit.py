@@ -27,6 +27,8 @@ Claim identifiers, one per auditable statement and per entry of ``CLAIMS``:
 """
 
 import enum
+import itertools
+import math
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -64,8 +66,24 @@ class Violation(NamedTuple):
     detail: str
 
 
+#: The members of the 2*3*5 wheel from 7 on, taken 32 at a time: the
+#: chunk at base 7 + 120i holds base + o for each o in _CHUNK.
+_CHUNK = tuple(30 * k + o for k in range(4) for o in (0, 4, 6, 10, 12, 16, 22, 24))
+#: The chunks whose members all lie below 2^16; the product of each (at most
+#: 512 bits) is kept once built, so all 546 take about 51 KiB.
+_GCD_CHUNKS = (2**16 - 7) // 120
+_chunk_products = [0] * _GCD_CHUNKS  # 0 until the oracle first needs it
+
+
 def oracle_factorize(N: int) -> list[int]:
-    """Prime factorization of N >= 2 by wheel trial division, ascending."""
+    """Prime factorization of N >= 2 by wheel trial division, ascending.
+
+    After 2, 3 and 5 the trial divisors are the 2*3*5 wheel's members from
+    7 on, in chunks of 32 (_CHUNK).  A chunk of the bounded prefix
+    (_GCD_CHUNKS, the members below 2^16) whose product is coprime to N
+    holds no divisor of N and is skipped after one gcd; any other chunk
+    divides member by member, up to the first d with d*d > N.
+    """
     if N < 2:
         raise ValueError("nothing to factor below 2")
     factors = []
@@ -73,15 +91,21 @@ def oracle_factorize(N: int) -> list[int]:
         while N % p == 0:
             factors.append(p)
             N //= p
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    d = 7
-    i = 0
-    while d * d <= N:
-        while N % d == 0:
-            factors.append(d)
-            N //= d
-        d += wheel[i]
-        i = (i + 1) & 7
+    for i, base in enumerate(itertools.count(7, 120)):
+        if base * base > N:
+            break
+        if i < _GCD_CHUNKS:
+            # built on first need; a caller that races another stores the same value
+            _chunk_products[i] = product = _chunk_products[i] or math.prod(base + o for o in _CHUNK)
+            if math.gcd(N, product) == 1:
+                continue
+        for o in _CHUNK:
+            d = base + o
+            if d * d > N:
+                break
+            while N % d == 0:
+                factors.append(d)
+                N //= d
     if N > 1:
         factors.append(N)
     return factors
@@ -125,8 +149,8 @@ def _admissible_mask(p: int, k: int) -> bytes:
 
 class _Generator:
     """Generator target n with what its claims share, each worked out at
-    most once: the oracle's factor pairs, the interval scan's witness and
-    the E4/O4 mask of each prime."""
+    most once: the oracle's factor pairs, the interval scan's witness, the
+    paper's u interval and the E4/O4 masks."""
 
     index_name = "u"  # how a congruence claim's detail names the index
 
@@ -134,7 +158,7 @@ class _Generator:
         self.t = quadform.make_target(n)
         self.n, self.N = n, self.t.N
         self.family = "even" if self.t.offset == 1 else "odd"
-        self.masks = {}  # p -> its _admissible_mask entry, for every pair
+        self._masks = None, []  # (moduli, the mask of each) last looked up
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -143,6 +167,19 @@ class _Generator:
     @cached_property
     def witness(self) -> quadform.Candidate | None:
         return quadform.compositeness_witness(self.t)
+
+    @cached_property
+    def span(self) -> range:
+        return quadform.u_range(self.t)
+
+    def masks(self, moduli) -> list[bytes]:
+        """The _admissible_mask entry of each odd prime in moduli, in order;
+        looked up again only for another list, so once per target for the
+        list the audit passes with each of its pairs."""
+        if self._masks[0] is not moduli:
+            keys = [(p, self.n % (2 * p)) for p in moduli]
+            self._masks = moduli, [_admissible_mask(p, min(k, 2 * p - k) or 2 * p) for p, k in keys]
+        return self._masks[1]
 
     def target_record(self) -> tuple[tuple[int, int], int]:
         """(pair, u) that a per-target violation records: the oracle's first
@@ -165,51 +202,58 @@ class _Fermat:
         self.t, self.n, self.N, self.pairs = t, t.index_n, N, [pair]
 
 
-def _disc_not_square(x, u, p):
+def _whole(test):
+    """The claim predicate of test(target, index), which gives the detail
+    of a failing instance or None whatever the modulus: the instance fails
+    at every modulus given, or at none."""
+
+    def violated(x, index, moduli):
+        detail = test(x, index)
+        return [] if detail is None else [(p, detail) for p in moduli]
+
+    return violated
+
+
+def _disc_not_square(x, u):
     cand = quadform.try_candidate(x.t, u)
     if cand.root is None:
         return f"discriminant {cand.disc} at u={u} is not a perfect square"
 
 
-def _outside_interval(x, u, p):
-    if u not in quadform.u_range(x.t):
+def _outside_interval(x, u):
+    if u not in x.span:
         u_min, u_sup = quadform.u_interval(x.t)
         return f"u={u} outside [{u_min}, {u_sup})"
 
 
-def _4u1_zero_mod_p(x, u, p):
-    if (4 * u + 1) % p == 0:
-        return f"4u+1={4 * u + 1} = 0 (mod {p}) with {p} = 3 (mod 4)"
+def _4u1_zero_mod_p(x, u, moduli):
+    v = 4 * u + 1
+    return [(p, f"4u+1={v} = 0 (mod {p}) with {p} = 3 (mod 4)") for p in moduli if v % p == 0]
 
 
-def _not_admissible(x, u, p):
-    mask = x.masks.get(p)
-    if mask is None:
-        k = x.n % (2 * p)
-        mask = x.masks[p] = _admissible_mask(p, min(k, 2 * p - k) or 2 * p)
-    if not mask[u % p]:
-        return f"u mod {p} = {u % p} not in the admissible residue set"
+def _not_admissible(x, u, moduli):
+    failing = [p for p, mask in zip(moduli, x.masks(moduli)) if not mask[u % p]]
+    return [(p, f"u mod {p} = {u % p} not in the admissible residue set") for p in failing]
 
 
 def _congruence(r, wanted, suffix=""):
     """Predicate of the claim that the index is r mod p (wanted) or is not
     (not wanted); suffix, formatted with p and the target t, ends the detail."""
+    # filled in with the target x, the index i, p and x.t for a failing instance
+    detail = f"{{x.index_name}}={{i}} {'!=' if wanted else '='} {r} (mod {{p}})" + suffix
 
-    def violated(x, u, p):
-        equal = u % p == r
-        if equal != wanted:
-            relation = "=" if equal else "!="
-            return f"{x.index_name}={u} {relation} {r} (mod {p})" + suffix.format(p=p, t=x.t)
+    def violated(x, i, moduli):
+        return [(p, detail.format(x=x, i=i, p=p, t=x.t)) for p in moduli if (i % p == r) != wanted]
 
     return violated
 
 
-def _no_l1_witness(x, u, p):
+def _no_l1_witness(x, u):
     if l1_witness(x.t) is None:
         return "no small-factor index b with m^2 + b^2 = 0 (mod 4b+1)"
 
 
-def _converse_fails(x, u, p):
+def _converse_fails(x, u):
     w = x.witness
     if w is not None and not x.pairs:
         return f"witness u={w.u} found but N={x.N} is prime by the oracle"
@@ -217,19 +261,19 @@ def _converse_fails(x, u, p):
         return f"N={x.N} is composite but the interval scan found no witness"
 
 
-def _lam_disc_not_square(x, lam, p):
+def _lam_disc_not_square(x, lam):
     center = x.t.center_step * lam + 1
     if arith.is_perfect_square(center * center - x.N) is None:
         return f"discriminant at lam={lam} is not a perfect square"
 
 
-def _lam_outside_interval(x, lam, p):
+def _lam_outside_interval(x, lam):
     lam_min, lam_sup = fermat_numbers.lambda_interval(x.t)
     if not lam_min <= lam < lam_sup:
         return f"lam={lam} outside [{lam_min}, {lam_sup})"
 
 
-def _not_a_divisor(x, s, p):
+def _not_a_divisor(x, s):
     t = x.t
     member = fermat_numbers.lucas_check(t, s).residue == 0
     if not member or s.bit_length() > fermat_numbers.divisor_cap_bits(t):  # s > the cap 2^k - 1
@@ -248,8 +292,24 @@ def _s_of_pair(x, a, b):
     return (a - 1) // x.t.divisor_step
 
 
-def _p_3mod4(x, p):
-    return p % 4 == 3
+class _Primes(NamedTuple):
+    """The odd primes up to an audit's bound, and those = 3 mod 4 among
+    them, picked once per audit call."""
+
+    odd: list[int]
+    three_mod_4: list[int]
+
+
+def _primes(odd) -> _Primes:
+    return _Primes(odd, [p for p in odd if p % 4 == 3])
+
+
+def _p_3mod4(x, primes):
+    return primes.three_mod_4
+
+
+def _p_coprime(x, primes):
+    return [p for p in primes.odd if x.N % p]
 
 
 _WITH_3MOD4 = " with {p} = 3 (mod 4)"
@@ -258,12 +318,13 @@ _WITH_3MOD4 = " with {p} = 3 (mod 4)"
 class Claim(NamedTuple):
     """One auditable statement; the README's "Claim audit" section has more.
 
-    violated(target, index, modulus) gives the detail of a failing instance,
-    None when it holds.  index(target, a, b) is the index pair (a, b) is
+    violated(target, index, moduli) judges the index at each modulus in
+    moduli and gives [(modulus, detail), ...] for the instances that fail,
+    in the order given.  index(target, a, b) is the index pair (a, b) is
     recorded under (u, lam or s); None marks a claim made once per target,
     which replays from n alone.  moduli lists the moduli checked per pair
-    ((None,): none), or is a predicate (target, p) picking them among the
-    odd primes up to the audit's bound.
+    ((None,): none), or is a function (target, primes) picking them from
+    the _Primes of the audit's bound.
     """
 
     id: str
@@ -276,10 +337,10 @@ class Claim(NamedTuple):
 
 
 CLAIMS = (
-    Claim("E1", "even", _disc_not_square, structural=True),
-    Claim("E2", "even", _outside_interval, structural=True),
+    Claim("E1", "even", _whole(_disc_not_square), structural=True),
+    Claim("E2", "even", _whole(_outside_interval), structural=True),
     Claim("E3", "even", _congruence(0, False, _WITH_3MOD4), moduli=_p_3mod4),
-    Claim("E4", "even", _not_admissible, moduli=lambda x, p: x.N % p != 0),
+    Claim("E4", "even", _not_admissible, moduli=_p_coprime),
     Claim("E5a_n", "even", _congruence(2, True, " though n={t.n} even"), moduli=(4,),
           applies=lambda x: x.t.n % 2 == 0),
     Claim("E5a_m", "even", _congruence(2, True, " though m={t.m} even"), moduli=(4,),
@@ -292,20 +353,21 @@ CLAIMS = (
           applies=lambda x: x.t.n % 3 != 0),
     Claim("E6_m", "even", _congruence(1, True, " though 3 does not divide m={t.m}"), moduli=(3,),
           applies=lambda x: x.t.m % 3 != 0),
-    Claim("O1", "odd", _disc_not_square, structural=True),
-    Claim("O2", "odd", _outside_interval, structural=True),
+    Claim("O1", "odd", _whole(_disc_not_square), structural=True),
+    Claim("O2", "odd", _whole(_outside_interval), structural=True),
     Claim("O3", "odd", _4u1_zero_mod_p, moduli=_p_3mod4),
-    Claim("O4", "odd", _not_admissible, moduli=lambda x, p: x.N % p != 0),
-    Claim("L1", "even", _no_l1_witness, index=None, structural=True,
+    Claim("O4", "odd", _not_admissible, moduli=_p_coprime),
+    Claim("L1", "even", _whole(_no_l1_witness), index=None, structural=True,
           applies=lambda x: bool(x.pairs)),
-    Claim("CE", "even", _converse_fails, index=None, structural=True),
-    Claim("CO", "odd", _converse_fails, index=None, structural=True),
-    Claim("F1", "fermat", _lam_disc_not_square, index=_lam_of_pair),
-    Claim("F2", "fermat", _lam_outside_interval, index=_lam_of_pair, applies=lambda x: x.n >= 5),
+    Claim("CE", "even", _whole(_converse_fails), index=None, structural=True),
+    Claim("CO", "odd", _whole(_converse_fails), index=None, structural=True),
+    Claim("F1", "fermat", _whole(_lam_disc_not_square), index=_lam_of_pair),
+    Claim("F2", "fermat", _whole(_lam_outside_interval), index=_lam_of_pair,
+          applies=lambda x: x.n >= 5),
     Claim("F3", "fermat", _congruence(0, False, _WITH_3MOD4), index=_lam_of_pair, moduli=_p_3mod4),
     Claim("F4", "fermat", _congruence(2, False), index=_lam_of_pair, moduli=(4,)),
     Claim("F5", "fermat", _congruence(1, True), index=_lam_of_pair, moduli=(3,)),
-    Claim("L2", "fermat", _not_a_divisor, index=_s_of_pair),
+    Claim("L2", "fermat", _whole(_not_a_divisor), index=_s_of_pair),
 )
 _BY_ID = {c.id: c for c in CLAIMS}
 
@@ -329,26 +391,24 @@ class ClaimReport(NamedTuple):
     violations: list[Violation]
 
 
-def _check(claims, x, tallies, odd_primes) -> None:
+def _check(claims, x, tallies, primes) -> None:
     """Count and judge every instance of the claims on target x, adding to
-    each claim's tally [instances tested, violations]."""
-    indices = {}  # (index function, pair) -> index, shared by the claims
+    each claim's tally [instances tested, violations].  A claim's predicate
+    is called once per pair with all of the pair's moduli (once per target
+    for a claim made once per target), its moduli picked once per target."""
+    indices = {None: [None]}  # index function -> the index of each pair
     for c in claims:
         if not c.applies(x):
             continue
-        tally = tallies[c.id]
-        moduli = [p for p in odd_primes if c.moduli(x, p)] if callable(c.moduli) else c.moduli
+        if c.index not in indices:
+            indices[c.index] = [c.index(x, *pair) for pair in x.pairs]
+        moduli = c.moduli(x, primes) if callable(c.moduli) else c.moduli
         pairs = x.pairs if c.index else [None]
-        tally[0] += len(pairs) * len(moduli)
-        for pair in pairs:
-            if pair is not None and (c.index, pair) not in indices:
-                indices[c.index, pair] = c.index(x, *pair)
-            u = indices.get((c.index, pair))
-            for p in moduli:
-                detail = c.violated(x, u, p)
-                if detail is not None:
-                    record = (pair, u) if pair else x.target_record()
-                    tally[1].append(Violation(x.n, x.N, *record, p, detail))
+        tallies[c.id][0] += len(pairs) * len(moduli)
+        for pair, u in zip(pairs, indices[c.index]):
+            for p, detail in c.violated(x, u, moduli):
+                record = (pair, u) if pair else x.target_record()
+                tallies[c.id][1].append(Violation(x.n, x.N, *record, p, detail))
 
 
 def audit_claims(
@@ -372,14 +432,14 @@ def audit_claims(
     foreign = selected - QUAD_CLAIMS
     if foreign:
         raise ValueError(f"not generator claims: {sorted(c.value for c in foreign)}")
-    odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
+    primes = _primes([p for p in arith.primes_up_to(prime_bound) if p != 2])
     range_desc = f"n in [{n_min}, {n_max}]; primes <= {prime_bound}"
     chosen = [c for c in CLAIMS if c.id in selected]
     tallies = {c.id: [0, []] for c in chosen}
     by_family = {f: [c for c in chosen if c.family == f] for f in ("even", "odd")}
     for n in range(n_min, n_max + 1):
         x = _Generator(n)
-        _check(by_family[x.family], x, tallies, odd_primes)
+        _check(by_family[x.family], x, tallies, primes)
     return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
 
@@ -428,7 +488,7 @@ def audit_fermat(indices, prime_bound: int = 97) -> list[ClaimReport]:
     """
     indices = sorted(set(indices))
     targets = [fermat_numbers.make_fermat(idx) for idx in indices]
-    odd_primes = [p for p in arith.primes_up_to(prime_bound) if p != 2]
+    primes = _primes([p for p in arith.primes_up_to(prime_bound) if p != 2])
     claims = [c for c in CLAIMS if c.family == "fermat"]
     tallies = {c.id: [0, []] for c in claims}
     # range_tested: the range, then a note per index skipped or probed
@@ -445,7 +505,7 @@ def audit_fermat(indices, prime_bound: int = 97) -> list[ClaimReport]:
                 "(center-index interval needs index >= 5)"
             )
         F = t.value
-        _check(claims, _Fermat(t, F, (a, F // a)), tallies, odd_primes)
+        _check(claims, _Fermat(t, F, (a, F // a)), tallies, primes)
     range_desc = "; ".join(notes)
     return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
@@ -455,9 +515,11 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
 
     The target is rebuilt from v.n and must have N = v.N.  Unless the claim
     is made once per target, the index re-derived from v.pair must equal
-    v.u, and v.modulus must be one the claim is checked at.  Then the
-    claim's own predicate judges the instance; a violation that does not
-    reproduce means the ledger itself is corrupt.
+    v.u, and v.modulus must be one the claim is checked at: a fixed modulus
+    of the claim, or an odd prime its moduli function picks from
+    _primes([v.modulus]).  Then the claim's own predicate judges the
+    instance, called with the one modulus (v.modulus,); a violation that
+    does not reproduce means the ledger itself is corrupt.
     """
     c = _BY_ID[claim]
     try:
@@ -474,12 +536,11 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     except (ValueError, ArithmeticError):
         return False
     if c.index is not None:
-        if callable(c.moduli):
-            if p is None or p < 3 or not arith.is_prime(p) or not c.moduli(x, p):
-                return False
-        elif p not in c.moduli:
+        prime = callable(c.moduli) and p is not None and p > 2 and arith.is_prime(p)
+        allowed = c.moduli(x, _primes([p] if prime else [])) if callable(c.moduli) else c.moduli
+        if p not in allowed:
             return False
-    return c.applies(x) and c.violated(x, v.u, v.modulus) is not None
+    return c.applies(x) and bool(c.violated(x, v.u, (p,)))
 
 
 def report_to_dict(report: ClaimReport) -> dict:

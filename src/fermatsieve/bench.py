@@ -5,9 +5,10 @@ for the QuadInterval strategies sieve_enumerate, the paper's scan:
 QuadInterval makes factor's call on a hard case (quadform.factor_pairs),
 and QuadIntervalQRFiltered adds the QR classes of the odd primes up to 97.
 Candidate counts are exact, deterministic and counted outside the timed
-calls; wall times are median-of-k on a monotonic clock and are reported,
-never asserted.  A candidate is whatever a strategy pays for: a trial
-divisor, a center of the plain scan up to its hit, or a sieve index that
+calls, from the last call's result; wall times are median-of-k on a
+monotonic clock and are reported, never asserted.  A candidate is
+whatever a strategy pays for: a trial divisor, a center of the plain
+scan up to its hit or its budget, or a sieve index that
 survives the residue filters and the square screens and so reaches the
 exact square test, up to the first pair or the end of the sieve's scan.
 The sieve's scan stops at the trial-division crossover
@@ -53,32 +54,44 @@ def _run_trial_division(t: quadform.QuadTarget):
     return len(divisors), None
 
 
+#: Centers the PlainFermat strategy scans before it gives up.  It covers
+#: every count tests pin (at most 1538261545, at n = 100000), and a scan
+#: that spends it takes about 1.6 s (about 1 ns a center; shared 2-vCPU
+#: VM, Python 3.11).
+_PLAIN_FERMAT_BUDGET = 1_600_000_000
+
+
 def _measure(strategy: Strategy, t: quadform.QuadTarget):
-    """(candidates, pair, timed call) of one strategy on target t."""
+    """(the call run_bench times, outcome) for one strategy on target t:
+    outcome(result) gives the (candidates, pair) of the call's result."""
     if strategy is Strategy.TRIAL_DIVISION:
-        return *_run_trial_division(t), lambda: _run_trial_division(t)
+        return lambda: _run_trial_division(t), lambda result: result
     if strategy is Strategy.PLAIN_FERMAT:
-        # run_bench admits composite targets only, so the scan splits N;
-        # its candidates are the centers from ceil(sqrt(N)) up to the split
-        split = fermat_generic.fermat_factor(t.N)
-        count = split.c - arith.ceil_sqrt(t.N) + 1
-        return count, (split.a, split.b), lambda: fermat_generic.fermat_factor(t.N)
+
+        def centers(split):
+            # its candidates are the centers from ceil(sqrt(N)) up to the
+            # split; run_bench admits composite targets only, so a scan
+            # that ends without one has spent its budget
+            if split is fermat_generic.Verdict.BUDGET_EXHAUSTED:
+                return _PLAIN_FERMAT_BUDGET, None
+            return split.c - arith.ceil_sqrt(t.N) + 1, (split.a, split.b)
+
+        return lambda: fermat_generic.fermat_factor(t.N, _PLAIN_FERMAT_BUDGET), centers
     primes = () if strategy is Strategy.QUAD_INTERVAL else quadform.default_filter_primes(t)
     heuristic = strategy is Strategy.QUAD_INTERVAL_HEURISTIC
 
-    def run():
-        return quadform.sieve_enumerate(t, primes, heuristic)
+    def survivors(pairs):
+        # the u that reach the square test, those the filter classes and the
+        # square screens leave, from u_min through the first pair's witness u
+        # or through the end of the scan when that comes first
+        span, _ = quadform.search_bounds(t, heuristic)
+        stop = min(span.stop, pairs[0].witness_u + 1) if pairs else span.stop
+        kills = quadform.filter_kills(t, primes, heuristic)
+        screened = [*kills, *arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)]
+        count = arith.sieve_count(span.start, stop, screened)
+        return count, (pairs[0].a, pairs[0].b) if pairs else None
 
-    # the u that reach the square test, those the filter classes and the
-    # square screens leave, from u_min through the first pair's witness u
-    # or through the end of the scan when that comes first
-    pairs = run()
-    span, _ = quadform.search_bounds(t, heuristic)
-    stop = min(span.stop, pairs[0].witness_u + 1) if pairs else span.stop
-    kills = quadform.filter_kills(t, primes, heuristic)
-    screened = [*kills, *arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)]
-    count = arith.sieve_count(span.start, stop, screened)
-    return count, (pairs[0].a, pairs[0].b) if pairs else None, run
+    return lambda: quadform.sieve_enumerate(t, primes, heuristic), survivors
 
 
 def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
@@ -88,8 +101,11 @@ def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
     them.  Every argument is checked before anything is timed: an unknown
     strategy, repetitions < 1, a generator n < 1 and a prime target raise
     ValueError up front.  The unsound heuristic-filtered strategy may
-    legitimately fail to find a pair (it can skip every true witness); the
-    others always succeed on a composite target.
+    legitimately fail to find a pair (it can skip every true witness), and
+    PlainFermat fails when the split lies past its _PLAIN_FERMAT_BUDGET
+    centers, reporting that budget as its count; a failed row has
+    found=False and no pair.  TrialDivision, QuadInterval and
+    QuadIntervalQRFiltered always succeed on a composite target.
     """
     try:
         chosen = list(Strategy) if strategies is None else [Strategy(s) for s in strategies]
@@ -105,12 +121,13 @@ def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
     rows = []
     for t in targets:
         for strategy in chosen:
-            count, pair, run = _measure(strategy, t)
+            run, outcome = _measure(strategy, t)
             timings = []
             for _ in range(repetitions):
                 start = time.perf_counter_ns()
-                run()
+                result = run()
                 timings.append(time.perf_counter_ns() - start)
+            count, pair = outcome(result)
             rows.append(
                 BenchRow(
                     strategy=strategy.value,

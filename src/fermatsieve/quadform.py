@@ -185,19 +185,29 @@ def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
     return [p for p in arith.primes_up_to(bound) if p != 2 and t.N % p != 0]
 
 
+#: filter_kills builds QR classes for filter primes up to this bound only.
+#: Each class is built by a Python loop over its period: with a class for
+#: every odd prime up to 20000, sieve_enumerate at n = 3001 with the
+#: heuristic skips took 6.6 s, and 0.15 s with classes up to 97 alone.
+_QR_CLASS_BOUND = 97
+
+
 def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> list:
     """Kill classes of the QR filters and, when asked, the heuristic skips
     (u = 0 mod p for even n; 4u + 1 = 0, i.e. u = -4^-1 mod p, for odd n),
     which arith.square_centers ANDs ahead of its square screens.
 
-    A QR class is built only for a filter prime that divides no screen
-    modulus: a square mod 63, 65, 11 or 17 to 37 is a square mod each of
-    its prime factors, so the screens drop every u the QR classes of 3, 5,
-    7, 11, 13 and 17 to 37 would.  Every filter prime keeps its skip.
+    A QR class is built only for a filter prime up to _QR_CLASS_BOUND that
+    divides no screen modulus: a square mod 63, 65, 11 or 17 to 37 is a
+    square mod each of its prime factors, so the screens drop every u the
+    QR classes of 3, 5, 7, 11, 13 and 17 to 37 would.  A QR class never
+    drops a square discriminant, so which primes get one changes no pair,
+    only how many u reach the exact square test.  Every filter prime keeps
+    its skip.
     """
     if any(p < 3 or p % 2 == 0 for p in filter_primes):
         raise ValueError("filter primes must be odd")
-    own = [p for p in filter_primes if all(q % p for q in arith._SCREENS)]
+    own = [p for p in filter_primes if p <= _QR_CLASS_BOUND and all(q % p for q in arith._SCREENS)]
     kills = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, own)
     if use_heuristic_filters:
         skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
@@ -256,9 +266,9 @@ def sieve_enumerate(
     the u scan stops there instead of at the end of the paper's interval
     (search_bounds).
 
-    u is scanned ascending, pruned by the QR residue classes of the filter
-    primes and by the square screens, and each square discriminant is
-    validated into a FactorPair.  A filter prime that divides N prunes
+    u is scanned ascending, pruned by filter_kills' QR residue classes of
+    the filter primes and by the square screens, and each square
+    discriminant is validated into a FactorPair.  A filter prime that divides N prunes
     nothing: every discriminant is a square modulo it.  The trial pairs
     follow the scan's in descending a, which is ascending u; each is
     validated by _pair.

@@ -1,10 +1,12 @@
 """Tests for the oracle and the claim-audit harness."""
 
 import hashlib
+import itertools
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermatsieve import arith, audit, fermat_numbers, quadform
@@ -89,6 +91,59 @@ def test_oracle_factors_are_prime():
 
     for N in (325, 9797, 3601, 12545, 65537, 2 * 3 * 5 * 7 * 11 * 13):
         assert all(dumb_prime(p) for p in audit.oracle_factorize(N))
+
+
+def _wheel_factorize(N):
+    """Plain 2*3*5 wheel trial division, one member at a time."""
+    factors = []
+    for p in (2, 3, 5):
+        while N % p == 0:
+            factors.append(p)
+            N //= p
+    d, steps = 7, itertools.cycle((4, 2, 4, 2, 4, 6, 2, 6))
+    while d * d <= N:
+        while N % d == 0:
+            factors.append(d)
+            N //= d
+        d += next(steps)
+    if N > 1:
+        factors.append(N)
+    return factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 2**44))
+# squares and products of the members at chunk edges: 7 and 121 open and
+# close the first chunk, 127 opens the second
+@example(7 * 7)
+@example(121 * 121)
+@example(121 * 127)
+@example(7 * 121 * 127 * 241 * 247)
+# 65521 closes the last chunk whose product is kept, and 65527 = 7 * 9361
+# opens the first one past it
+@example(65521 * 65521)
+@example(65521 * 65527)
+# prime powers
+@example(7**15)
+@example(127**6)
+@example(65521**3)
+@example(3**27 * 5**2)
+# just past the square of the kept prefix, with the primes 65537 and 65539
+@example(65527**2 + 2)
+@example(65537**2)
+@example(65537 * 65539)
+@example(2**32 + 15)
+def test_oracle_equals_a_plain_wheel(N):
+    assert audit.oracle_factorize(N) == _wheel_factorize(N)
+
+
+def test_oracle_keeps_its_chunk_products_bounded():
+    # 65537 and 65539 are the first primes past 2^16: the division runs
+    # through every chunk whose product is kept, and on past them
+    assert audit.oracle_factorize(65537 * 65539) == [65537, 65539]
+    products = audit._chunk_products
+    assert all(products) and 7 + 120 * (len(products) - 1) + audit._CHUNK[-1] < 2**16
+    assert sys.getsizeof(products) + sum(map(sys.getsizeof, products)) < 128 * 1024
 
 
 def test_proper_factor_pairs_examples():
@@ -268,6 +323,56 @@ def test_replay_never_builds_f_n_past_the_cap(monkeypatch, claim, n):
     assert audit.verify_violation(claim, v) is False
 
 
+def _reference_audit(targets, claims, odd_primes):
+    """[claim id, instances, violations] per claim, each instance (index,
+    modulus) judged by its own predicate call, in table order."""
+    tallies = {c.id: [0, []] for c in claims}
+    for x in targets:
+        for c in claims:
+            if c.family != x.family or not c.applies(x):
+                continue
+            moduli = c.moduli
+            if callable(moduli):  # picked one prime at a time
+                moduli = [p for p in odd_primes if c.moduli(x, audit._primes([p])) == [p]]
+            for pair in x.pairs if c.index else [None]:
+                index = c.index(x, *pair) if pair else None
+                for p in moduli:
+                    tallies[c.id][0] += 1
+                    for q, detail in c.violated(x, index, (p,)):
+                        record = (pair, index) if pair else x.target_record()
+                        tallies[c.id][1].append(Violation(x.n, x.N, *record, q, detail))
+    return [[i, *tally] for i, tally in tallies.items()]
+
+
+@pytest.mark.parametrize("prime_bound", [97, 211])
+def test_audit_equals_a_per_instance_reference(prime_bound):
+    odd_primes = arith.primes_up_to(prime_bound)[1:]
+    reports = audit.audit_claims(1, 300, None, prime_bound)
+    generators = [audit._Generator(n) for n in range(1, 301)]
+    quad = [c for c in audit.CLAIMS if c.family != "fermat"]
+    expected = _reference_audit(generators, quad, odd_primes)
+    assert [[r.claim.value, r.instances_tested, r.violations] for r in reports] == expected
+    assert any(r.violations for r in reports)
+    for r in reports:
+        for v in r.violations:
+            assert audit.verify_violation(r.claim, v), (r.claim, v)
+            assert not audit.verify_violation(r.claim, v._replace(u=v.u + (v.modulus or 1)))
+            if v.modulus is not None:
+                assert not audit.verify_violation(r.claim, v._replace(modulus=v.modulus + 2))
+
+
+def test_audit_fermat_equals_a_per_instance_reference():
+    reports = audit.audit_fermat([4, 5, 6, 7])
+    # F_4 is prime and F_7 past the search budget: only F_5 and F_6 have a pair
+    targets = []
+    for idx, a in ((5, 641), (6, 274177)):
+        t = fermat_numbers.make_fermat(idx)
+        targets.append(audit._Fermat(t, t.value, (a, t.value // a)))
+    fermat = [c for c in audit.CLAIMS if c.family == "fermat"]
+    expected = _reference_audit(targets, fermat, arith.primes_up_to(97)[1:])
+    assert [[r.claim.value, r.instances_tested, r.violations] for r in reports] == expected
+
+
 def test_every_ledger_violation_replays():
     reports = audit.audit_claims(1, 400) + audit.audit_fermat([4, 5, 6, 7])
     violations = [(r.claim, v) for r in reports for v in r.violations]
@@ -352,7 +457,7 @@ def test_admissible_masks_match_the_parametric_sets():
         x = audit._Generator(n)
         for p in arith.primes_up_to(97)[1:]:
             if x.N % p:
-                admitted = {u for u in range(p) if audit._not_admissible(x, u, p) is None}
+                admitted = {u for u in range(p) if not audit._not_admissible(x, u, (p,))}
                 assert admitted == quadform.admissible_residues_parametric(x.t, p), (n, p)
 
 
@@ -426,8 +531,8 @@ def test_audit_fermat_refuses_indices_past_the_cap(monkeypatch, indices):
 def _flagged(claim_id, x, index, odd_primes):
     """Whether the claim flags the index at any modulus it is checked at."""
     c = audit._BY_ID[claim_id]
-    moduli = [p for p in odd_primes if c.moduli(x, p)] if callable(c.moduli) else c.moduli
-    return any(c.violated(x, index, p) is not None for p in moduli)
+    moduli = c.moduli(x, audit._primes(odd_primes)) if callable(c.moduli) else c.moduli
+    return bool(c.violated(x, index, moduli))
 
 
 def test_heuristic_skips_drop_what_e3_and_o3_flag():

@@ -1,5 +1,7 @@
 """Tests for the strategy benchmark (counts asserted, times only reported)."""
 
+import time
+
 import pytest
 
 from fermatsieve import arith, bench, fermat_generic, quadform
@@ -99,6 +101,15 @@ def test_heuristic_strategy_reports_misses_honestly():
     # loses it and the strategy legitimately fails to factor.
     rows = bench.run_bench([30], [Strategy.QUAD_INTERVAL_HEURISTIC], repetitions=1)
     assert not rows[0].found and rows[0].pair is None
+
+
+def test_plain_fermat_stops_at_its_budget():
+    # N = 5 * 73 * 1095890630137: the most balanced split, (365, N/365), lies
+    # about 5.5 * 10^11 centers past sqrt(N)
+    start = time.perf_counter()
+    (row,) = bench.run_bench([10000001], [Strategy.PLAIN_FERMAT], repetitions=1)
+    assert time.perf_counter() - start < 10
+    assert (row.found, row.pair, row.candidates_examined) == (False, None, bench._PLAIN_FERMAT_BUDGET)
 
 
 def test_plain_fermat_matches_module_result():

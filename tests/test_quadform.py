@@ -4,11 +4,12 @@ Ground truth throughout comes from the trial-division oracle in the audit
 module, never from the sieve itself.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from fermatsieve import arith, audit, quadform
+from fermatsieve import arith, audit, cli, quadform
 
 
 def composite_targets(limit):
@@ -255,6 +256,47 @@ def test_heuristic_filters_can_change_the_found_pair():
     heuristic = quadform.sieve_enumerate(t, primes, use_heuristic_filters=True)
     assert [(p.a, p.b) for p in plain] == [(13, 25)]
     assert [(p.a, p.b) for p in heuristic] == [(5, 65)]
+
+
+def _every_qr_class_scan(t, primes, want_all):
+    """The pairs of a --heuristic-filters scan that ANDs the QR class of
+    every filter prime: the heuristic skips, built here, drop u over the
+    whole interval, and a square discriminant is kept only if it is a
+    square or 0 modulo every filter prime (Euler's criterion)."""
+    skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
+    skips = [arith.kill_class(p, (skip(p),)) for p in primes if p % 4 == 3]
+    span = quadform.u_range(t)
+    pairs = []
+    for u, _ in arith.square_centers(t.N, quadform.CENTER_STEP, t.offset, span.start, span.stop, skips):
+        cand = quadform.try_candidate(t, u)
+        if all(pow(cand.disc, (p - 1) // 2, p) in (0, 1) for p in primes):
+            pairs.append(quadform.pair_from_candidate(t, cand))
+            if not want_all:
+                break
+    return pairs
+
+
+def test_heuristic_scan_keeps_the_pairs_of_every_qr_class():
+    # filter_kills builds QR classes up to 97 only; a QR class never drops a
+    # square discriminant, so the pairs are those every class would leave
+    for n in range(1, 700):
+        t = quadform.make_target(n)
+        primes = quadform.default_filter_primes(t, 2000)
+        got = quadform.sieve_enumerate(t, primes, True, want_all=True)
+        assert got == _every_qr_class_scan(t, primes, True), n
+    for n in (3001, 3013):
+        t = quadform.make_target(n)
+        for bound in (5000, 20000):
+            primes = quadform.default_filter_primes(t, bound)
+            assert quadform.sieve_enumerate(t, primes, True) == _every_qr_class_scan(t, primes, False)
+
+
+def test_heuristic_filters_at_a_large_prime_bound_finish_quickly(capsys):
+    # a QR class for every odd prime up to 20000 took 6.6 s to build here
+    start = time.perf_counter()
+    assert cli.main(["factor", "--n", "3001", "--heuristic-filters", "--prime-bound", "20000", "--json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert '"verdict": "composite"' in capsys.readouterr().out
 
 
 def test_each_class_reaches_the_kernel_once(monkeypatch):
