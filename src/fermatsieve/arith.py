@@ -20,6 +20,7 @@ __all__ = [
     "square_centers",
     "mod_inv",
     "PRIME_TEST_EXACT_BELOW",
+    "PRIME_BOUND_MAX",
     "is_prime",
     "primes_up_to",
 ]
@@ -335,6 +336,14 @@ def is_prime(x: int) -> bool:
         rng = random.Random(x)
         witnesses = tuple(rng.randrange(2, x - 1) for _ in range(_SPRP_ROUNDS))
     return all(_is_strong_probable_prime(x, a, d, s) for a in witnesses)
+
+
+#: Largest prime bound the toolkit takes: the CLI refuses a larger
+#: --prime-bound or --prime, and audit.verify_violation a record whose
+#: modulus is larger.  It caps primes_up_to's sieve, a byte per integer, at
+#: 1 MiB, but not the class and mask building of --heuristic-filters and of
+#: the audit's E4/O4, which grows with the sum of the primes up to it.
+PRIME_BOUND_MAX = 1 << 20
 
 
 def primes_up_to(bound: int) -> list[int]:

@@ -143,8 +143,7 @@ def _admissible_mask(p: int, k: int) -> bytes:
     the parity of n, which n mod 2p fixes and n -> 2p - n keeps: so every n
     shares the entry of k = min(n mod 2p, 2p - n mod 2p), 2p in place of 0,
     one per (N mod p, parity)."""
-    residues = quadform.admissible_residues_parametric(quadform.make_target(k), p)
-    return bytes(r in residues for r in range(p))
+    return bytes(quadform._parametric_marks(quadform.make_target(k), p))
 
 
 class _Generator:
@@ -519,9 +518,13 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     of the claim, or an odd prime its moduli function picks from
     _primes([v.modulus]).  Then the claim's own predicate judges the
     instance, called with the one modulus (v.modulus,); a violation that
-    does not reproduce means the ledger itself is corrupt.
+    does not reproduce means the ledger itself is corrupt.  A modulus past
+    arith.PRIME_BOUND_MAX, the cap on the audit's own prime bound, gives
+    False before anything is built: an E4/O4 mask costs a byte per residue.
     """
     c = _BY_ID[claim]
+    if v.modulus is not None and v.modulus > arith.PRIME_BOUND_MAX:
+        return False
     try:
         (a, b), p = v.pair, v.modulus
         if c.family == "fermat":

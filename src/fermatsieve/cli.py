@@ -16,6 +16,7 @@ import errno
 import importlib.util
 import os
 import sys
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, arith
@@ -47,12 +48,6 @@ EXIT_INCONSISTENT = 3
 #: conversion that CPython sets by default, so from there on "F" is null.
 JSON_F_MAX_INDEX = 13
 
-#: Largest --prime-bound accepted: it caps primes_up_to's sieve, a byte per
-#: integer, at 1 MiB, but not the class and mask building of --heuristic-filters
-#: and of the audit's E4/O4, which grows with the sum of the primes up to it.
-PRIME_BOUND_MAX = 1 << 20
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INVALID
@@ -63,8 +58,9 @@ def _encode(value, indent: str, out: list) -> None:
     with sort_keys=True and indent=2 writes it: ASCII strings, sorted keys,
     "," ending a line and ": " after a key, empty containers as [] and {}.
     A list whose items are all exactly int (bool is no int here: it prints
-    true or false) is written by one join, a single string rather than two
-    pieces per item: candidates' residue lists reach 2^19 items."""
+    true or false) is written as one string, the list's repr with each ", "
+    turned into the line break: candidates' residue lists reach 2^19 items,
+    and a join would hold a str object for every item at once."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -81,7 +77,8 @@ def _encode(value, indent: str, out: list) -> None:
             return
         inner = indent + "  "
         if type(value[0]) is int and all(type(item) is int for item in value):
-            items = (",\n" + inner).join(map(int.__repr__, value))
+            ints = value if type(value) is list else list(value)  # a tuple's repr may end ",)"
+            items = repr(ints)[1:-1].replace(", ", ",\n" + inner)
             out += ("[\n", inner, items, "\n", indent, "]")
             return
         separator = "[\n" + inner
@@ -174,8 +171,8 @@ def cmd_factor(args) -> int:
     n = _resolve_generator(args)
     if n is None:
         return _fail("need --n >= 1 or --N of the form 4n^2+1 with n >= 1")
-    if args.prime_bound > PRIME_BOUND_MAX:
-        return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
+    if args.prime_bound > arith.PRIME_BOUND_MAX:
+        return _fail(f"--prime-bound must be <= {arith.PRIME_BOUND_MAX}")
     t = quadform.make_target(n)
     if args.heuristic_filters:
         primes = quadform.default_filter_primes(t, args.prime_bound)
@@ -248,13 +245,13 @@ def cmd_factor_generic(args) -> int:
 
 def cmd_candidates(args) -> int:
     p = args.prime
-    if p is not None and p > PRIME_BOUND_MAX:
-        return _fail(f"--prime must be <= {PRIME_BOUND_MAX}")
+    if p is not None and p > arith.PRIME_BOUND_MAX:
+        return _fail(f"--prime must be <= {arith.PRIME_BOUND_MAX}")
     try:
         t = quadform.make_target(args.n)
-        if p is not None:
-            parametric = sorted(quadform.admissible_residues_parametric(t, p))
-            qr = sorted(quadform.admissible_residues_qr(t, p))
+        if p is not None:  # p-byte marks, not two sets of up to p / 2 ints
+            parametric_marks = quadform._parametric_marks(t, p)
+            qr_marks = quadform._qr_marks(t, p)
     except ValueError as exc:
         return _fail(str(exc))
     u_min, u_sup = quadform.u_interval(t)
@@ -271,7 +268,10 @@ def cmd_candidates(args) -> int:
     shown = f" {results['u_values']}" if 0 < count <= 50 else ""
     lines = ["N = {N}: u in [{u_min}, {u_sup}), {count} candidate(s)".format(**results) + shown]
     if p is not None:
-        results.update(prime=p, parametric=parametric, qr=qr, equal=parametric == qr)
+        parametric = list(compress(range(p), parametric_marks))
+        equal = parametric_marks == qr_marks
+        qr = parametric if equal else list(compress(range(p), qr_marks))
+        results.update(prime=p, parametric=parametric, qr=qr, equal=equal)
         lines.append(
             "prime {prime}: parametric {parametric} qr {qr} equal={equal}".format(**results)
         )
@@ -301,8 +301,8 @@ def cmd_audit(args) -> int:
             fermat_numbers.make_fermat(i)
     except ValueError as exc:
         return _fail(f"--fermat-indices: {exc}")
-    if args.prime_bound > PRIME_BOUND_MAX:
-        return _fail(f"--prime-bound must be <= {PRIME_BOUND_MAX}")
+    if args.prime_bound > arith.PRIME_BOUND_MAX:
+        return _fail(f"--prime-bound must be <= {arith.PRIME_BOUND_MAX}")
     if args.json and (failed := _refuse_unwritable(args.json)) is not None:
         return failed
 

@@ -2,11 +2,16 @@
 
 Every prime factor of F_n lies on the progression 2^(n+2) s + 1 (for
 n >= 2), so membership can be tested with one modular exponentiation
-instead of a division by the full F_n:
+instead of a division by the full F_n.  The paper states it as
 
     2^(n+2) s + 1 divides F_n  <=>  2^(2^n - 2(n+2)) + s^2 = 0  (mod it)
 
-which needs n >= 4 for the exponent to be non-negative.  Factor-pair
+which needs n >= 4 for the exponent to be non-negative; lucas_check
+computes that residue.  lucas_divisors runs the classic test
+2^(2^n) = -1 (mod d) instead, n squarings against about twice as many
+multiplications: with d = 2^(n+2) s + 1, 2^(n+2) s = -1 gives
+s^2 = 2^(-2(n+2)), so the paper's residue is 2^(-2(n+2)) (2^(2^n) + 1)
+mod d, and 2 is a unit mod the odd d.  Factor-pair
 centers live on the coarser progression 2^(2n+3) lam + 1, searchable for
 n >= 5 over lam in [ceil((sqrt(F_n)-1)/2^(2n+3)), 2^(2^n-(3n+5))).
 
@@ -140,20 +145,24 @@ def lucas_divisors(t: FermatTarget, s_max: int):
     """Yield, ascending and lazily, each s in [1, s_max] whose progression
     member divides F_n.
 
+    A member d = 2^(n+2) s + 1 is accepted when 2^(2^n) = -1 (mod d), n
+    squarings mod d; this is lucas_check's residue being 0, since that
+    residue is 2^(-2(n+2)) (2^(2^n) + 1) mod d (see the module docstring).
     s_max must be >= 0 and is capped at the divisor cap 2^k - 1 with
-    k = divisor_cap_bits(t): a proper factor below the square root always
-    sits under that cap, and members above it mirror cofactors of ones below.
+    k = divisor_cap_bits(t), which also refuses an index below 4: a proper
+    factor below the square root always sits under that cap, and members
+    above it mirror cofactors of ones below.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     bits = divisor_cap_bits(t)
     top = s_max if s_max.bit_length() <= bits else (1 << bits) - 1  # min(s_max, cap)
-    exponent = _membership_exponent(t)
+    power = 1 << t.index_n
     step = t.divisor_step
     return (
         LucasDivisorCandidate(s=s, divisor=divisor, residue=0)
         for s, divisor in enumerate(range(step + 1, step * top + 2, step), 1)
-        if (pow(2, exponent, divisor) + s * s) % divisor == 0
+        if pow(2, power, divisor) == divisor - 1
     )
 
 

@@ -25,6 +25,7 @@ up to N^(1/3) first, and runs sieve_enumerate with no filter primes only
 when the cofactor left is composite or too large for an exact prime test.
 """
 
+from itertools import compress
 from typing import NamedTuple
 
 from . import arith
@@ -156,16 +157,35 @@ def _check_filter_prime(t: QuadTarget, p: int) -> None:
         raise ValueError(f"{p} divides N = {t.N}; it is a factor, not a filter")
 
 
+def _parametric_marks(t: QuadTarget, p: int) -> bytearray:
+    """p bytes, byte r 1 when r is in admissible_residues_parametric(t, p)."""
+    _check_filter_prime(t, p)
+    shift = 2 * t.offset
+    inv16 = arith.mod_inv(16, p)
+    N = t.N
+    marks = bytearray(p)
+    for x in range(1, p):
+        marks[(pow(x, -1, p) * N + x - shift) * inv16 % p] = 1
+    return marks
+
+
+#: bytes.translate table from the digits of bin() to mark bytes 0 and 1.
+_BIT_MARKS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _qr_marks(t: QuadTarget, p: int) -> bytes:
+    """p bytes, byte r 1 when r is in admissible_residues_qr(t, p)."""
+    _check_filter_prime(t, p)
+    ((_, alive),) = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, (p,))
+    return bin(alive)[:1:-1].ljust(p, "0").encode().translate(_BIT_MARKS)  # lowest bit first
+
+
 def admissible_residues_parametric(t: QuadTarget, p: int) -> set[int]:
     """Residues of u mod p compatible with a factor, by the inverse sweep.
 
     The set is { (x^-1 N + x - 2*offset) / 16 mod p : x in 1..p-1 }.
     """
-    _check_filter_prime(t, p)
-    shift = 2 * t.offset
-    inv16 = arith.mod_inv(16, p)
-    N = t.N
-    return {(pow(x, -1, p) * N + x - shift) * inv16 % p for x in range(1, p)}
+    return set(compress(range(p), _parametric_marks(t, p)))
 
 
 def admissible_residues_qr(t: QuadTarget, p: int) -> set[int]:
@@ -175,9 +195,7 @@ def admissible_residues_qr(t: QuadTarget, p: int) -> set[int]:
     true witness is never excluded: these are the set bits of the kill
     class arith.nonsquare_classes builds for p, whose period is p.
     """
-    _check_filter_prime(t, p)
-    ((_, alive),) = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, (p,))
-    return {r for r, bit in enumerate(bin(alive)[:1:-1]) if bit == "1"}  # lowest bit first
+    return set(compress(range(p), _qr_marks(t, p)))
 
 
 def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:

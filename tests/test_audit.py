@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -463,6 +464,22 @@ def test_admissible_masks_match_the_parametric_sets():
 
 def test_admissible_mask_cache_is_bounded():
     assert audit._admissible_mask.cache_info().maxsize == 4096
+
+
+@pytest.mark.parametrize(
+    "claim, record",
+    [(ClaimId.E4, (4, 65, (5, 13), 1)), (ClaimId.O4, (11, 485, (5, 97), 6))],
+)
+def test_replay_refuses_a_modulus_past_the_prime_bound_cap(claim, record):
+    # the first prime past the cap: a mask for it would cost about 1 MiB and
+    # a second of sweeping, and would stay in the cache
+    p = 1048583
+    assert arith.is_prime(p) and p > arith.PRIME_BOUND_MAX
+    before = audit._admissible_mask.cache_info().currsize
+    start = time.perf_counter()
+    assert audit.verify_violation(claim, Violation(*record, p, "")) is False
+    assert time.perf_counter() - start < 0.1
+    assert audit._admissible_mask.cache_info().currsize == before
 
 
 def test_audit_determinism():

@@ -283,7 +283,7 @@ def test_factor_hard_case_scans_with_the_screens_alone(monkeypatch, capsys):
     monkeypatch.setattr(quadform, "default_filter_primes", no_filter_primes)
     monkeypatch.setattr(arith, "sieve_progression", recorded)
     start = time.perf_counter()
-    bound = str(cli.PRIME_BOUND_MAX)
+    bound = str(arith.PRIME_BOUND_MAX)
     rc, out, _ = run(capsys, "factor", "--n", "3013", "--prime-bound", bound, "--json")
     elapsed = time.perf_counter() - start
     assert rc == 0
@@ -301,7 +301,7 @@ def test_factor_hard_case_scans_with_the_screens_alone(monkeypatch, capsys):
         ("audit", "--range", "1:2", "--claims", "E4"),
     ],
 )
-@pytest.mark.parametrize("bound", [cli.PRIME_BOUND_MAX + 1, 10**12])
+@pytest.mark.parametrize("bound", [arith.PRIME_BOUND_MAX + 1, 10**12])
 def test_prime_bound_above_cap_exits_2_before_sieving(monkeypatch, capsys, argv, bound):
     def no_sieve(limit):
         raise AssertionError(f"primes_up_to({limit}) called")
@@ -310,11 +310,11 @@ def test_prime_bound_above_cap_exits_2_before_sieving(monkeypatch, capsys, argv,
     rc, out, err = run(capsys, *argv, "--prime-bound", str(bound))
     assert rc == 2
     assert out == ""
-    assert f"--prime-bound must be <= {cli.PRIME_BOUND_MAX}" in err
+    assert f"--prime-bound must be <= {arith.PRIME_BOUND_MAX}" in err
 
 
 def test_prime_bound_at_cap_is_accepted(capsys):
-    bound = str(cli.PRIME_BOUND_MAX)
+    bound = str(arith.PRIME_BOUND_MAX)
     rc, out, _ = run(capsys, "audit", "--range", "1:2", "--claims", "CE", "--prime-bound", bound)
     assert rc == 0
     assert out == "CE: instances=1 violations=0\n"
@@ -391,7 +391,7 @@ def test_candidates_rejects_non_prime_modulus(capsys):
 
 def test_candidates_prime_above_cap_exits_2_before_any_sweep(monkeypatch, capsys):
     # 1048583 is a prime above 2^20; each residue sweep costs O(p)
-    assert arith.is_prime(1048583) and 1048583 > cli.PRIME_BOUND_MAX
+    assert arith.is_prime(1048583) and 1048583 > arith.PRIME_BOUND_MAX
 
     def no_sweep(t, p):
         raise AssertionError(f"residue sweep mod {p} called")
@@ -401,7 +401,7 @@ def test_candidates_prime_above_cap_exits_2_before_any_sweep(monkeypatch, capsys
     rc, out, err = run(capsys, "candidates", "--n", "4", "--prime", "1048583")
     assert rc == 2
     assert out == ""
-    assert f"--prime must be <= {cli.PRIME_BOUND_MAX}" in err
+    assert f"--prime must be <= {arith.PRIME_BOUND_MAX}" in err
 
 
 def test_candidates_json(capsys):

@@ -80,6 +80,13 @@ def test_membership_equivalence_f5():
     for s in range(1, 1001):
         cand = fn.lucas_check(t, s)
         assert (cand.residue == 0) == (t.value % cand.divisor == 0), s
+    # the search's 2^(2^n) = -1 (mod d) accepts exactly the s whose
+    # residue in the paper's form is 0, up to the cap or 3000
+    for n in range(4, 13):
+        t = fn.make_fermat(n)
+        top = min((1 << fn.divisor_cap_bits(t)) - 1, 3000)
+        expected = [s for s in range(1, top + 1) if fn.lucas_check(t, s).residue == 0]
+        assert [h.s for h in fn.lucas_divisors(t, top)] == expected, n
 
 
 def test_lucas_search_examples():
@@ -88,6 +95,18 @@ def test_lucas_search_examples():
     assert fn.lucas_search(t5, 3) == []
     t6 = fn.make_fermat(6)
     assert [(h.s, h.divisor) for h in fn.lucas_search(t6, 10**4)] == [(1071, 274177)]
+    # known small factors of F_9, F_11 and F_12
+    assert [(h.s, h.divisor) for h in fn.lucas_search(fn.make_fermat(9), 1184)] == [
+        (1184, 2424833)
+    ]
+    assert [(h.s, h.divisor) for h in fn.lucas_search(fn.make_fermat(11), 119)] == [
+        (39, 319489),
+        (119, 974849),
+    ]
+    assert [(h.s, h.divisor) for h in fn.lucas_search(fn.make_fermat(12), 1588)] == [
+        (7, 114689),
+        (1588, 26017793),
+    ]
 
 
 def test_lucas_search_cap():
