@@ -21,6 +21,7 @@ __all__ = [
     "mod_inv",
     "PRIME_TEST_EXACT_BELOW",
     "PRIME_BOUND_MAX",
+    "SCREENS",
     "is_prime",
     "primes_up_to",
 ]
@@ -71,7 +72,7 @@ def _square_residues(modulus: int) -> bytes:
 #: The square screens square_centers adds to every scan.  Only 12 of 64
 #: residues mod 64 are squares, 63, 65 and 11 drop most of the rest, and
 #: the primes 17 to 37 cut the compositeness scan about 6-fold (README).
-_SCREENS = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37)
+SCREENS = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37)
 
 
 def is_perfect_square(x: int) -> int | None:
@@ -118,7 +119,7 @@ def _nonsquare_class(q: int, N: int, step: int, offset: int) -> tuple[int, int]:
     return period, _pattern(keep)
 
 
-def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
+def nonsquare_classes(N: int, step: int, offset: int, moduli=SCREENS) -> list:
     """Kill classes of the u whose (step*u + offset)^2 - N is no square mod q.
 
     One class (period, alive) per modulus q, with period = q / gcd(q, step):
@@ -126,7 +127,7 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=_SCREENS) -> list:
     the discriminant is a square mod q.  A square is a square modulo every
     q, so no class drops a u whose discriminant is a perfect square; when
     q divides N every discriminant is a square mod q and every bit is set.
-    The default moduli are the square screens, _SCREENS, that
+    The default moduli are the square screens, SCREENS, that
     square_centers adds to every scan; callers pass other moduli only for
     filters of their own, as --heuristic-filters does.  Classes are cached
     by (q, N mod q, step mod q, offset mod q), on which alone they depend;

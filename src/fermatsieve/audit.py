@@ -138,12 +138,13 @@ def l1_witness(t: quadform.QuadTarget) -> int | None:
 
 @lru_cache(maxsize=4096)
 def _admissible_mask(p: int, k: int) -> bytes:
-    """Byte r is 1 when r is in admissible_residues_parametric of the odd
-    prime p and generator k.  The set depends on n only through N mod p and
-    the parity of n, which n mod 2p fixes and n -> 2p - n keeps: so every n
-    shares the entry of k = min(n mod 2p, 2p - n mod 2p), 2p in place of 0,
-    one per (N mod p, parity)."""
-    return bytes(quadform._parametric_marks(quadform.make_target(k), p))
+    """An immutable copy of the marks admissible_residues_parametric returns
+    for the odd prime p and generator k: byte r is 1 when u = r (mod p) is
+    admissible.  They depend on n only through N mod p and the parity of
+    n, which n mod 2p fixes and n -> 2p - n keeps: so every n shares the
+    entry of k = min(n mod 2p, 2p - n mod 2p), 2p in place of 0, one per
+    (N mod p, parity)."""
+    return bytes(quadform.admissible_residues_parametric(quadform.make_target(k), p))
 
 
 class _Generator:

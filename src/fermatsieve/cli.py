@@ -249,9 +249,9 @@ def cmd_candidates(args) -> int:
         return _fail(f"--prime must be <= {arith.PRIME_BOUND_MAX}")
     try:
         t = quadform.make_target(args.n)
-        if p is not None:  # p-byte marks, not two sets of up to p / 2 ints
-            parametric_marks = quadform._parametric_marks(t, p)
-            qr_marks = quadform._qr_marks(t, p)
+        if p is not None:
+            parametric_marks = quadform.admissible_residues_parametric(t, p)
+            qr_marks = quadform.admissible_residues_qr(t, p)
     except ValueError as exc:
         return _fail(str(exc))
     u_min, u_sup = quadform.u_interval(t)

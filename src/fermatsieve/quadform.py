@@ -7,25 +7,25 @@ Targets split by the parity of the generator n.  Every proper factor pair
 discriminant center^2 - N is a perfect square d^2, and then
 N = (center - d)(center + d).
 
-Two residue filters prune the u scan for a prime p not dividing N:
+Two residue filters prune the u scan for a prime p not dividing N.  Each
+returns p marks, byte r 1 when u = r (mod p) is admissible, else 0:
 
-* the parametric form, which sweeps x over Z_p* and collects
+* the parametric form, which sweeps x over Z_p* and marks
   (x^-1 N + x - 2*offset) / 16 mod p, and
-* the quadratic-residue form, which keeps u whenever
+* the quadratic-residue form, which marks u whenever
   (8u + offset)^2 - N is a square (or zero) mod p.
 
-The two sets are always equal; the QR form never rejects a true witness,
-so pruning with it cannot change the outcome of a search.  The extra
-"heuristic" skips behind ``use_heuristic_filters`` do not share that
-guarantee (the audit module measures how often they misfire) and are off
-by default.
+The two forms always give the same marks; the QR form never rejects a
+true witness, so pruning with it cannot change the outcome of a search.
+The extra "heuristic" skips behind ``use_heuristic_filters`` do not share
+that guarantee (the audit module measures how often they misfire) and
+are off by default.
 
 factor_pairs, which the factor command runs, divides N by the a = 1 mod 4
 up to N^(1/3) first, and runs sieve_enumerate with no filter primes only
 when the cofactor left is composite or too large for an exact prime test.
 """
 
-from itertools import compress
 from typing import NamedTuple
 
 from . import arith
@@ -157,8 +157,11 @@ def _check_filter_prime(t: QuadTarget, p: int) -> None:
         raise ValueError(f"{p} divides N = {t.N}; it is a factor, not a filter")
 
 
-def _parametric_marks(t: QuadTarget, p: int) -> bytearray:
-    """p bytes, byte r 1 when r is in admissible_residues_parametric(t, p)."""
+def admissible_residues_parametric(t: QuadTarget, p: int) -> bytearray:
+    """Marks of the residues of u mod p compatible with a factor, by the
+    inverse sweep: p bytes, byte r 1 when r is one of
+    (x^-1 N + x - 2*offset) / 16 mod p for x in 1..p-1, else 0.
+    """
     _check_filter_prime(t, p)
     shift = 2 * t.offset
     inv16 = arith.mod_inv(16, p)
@@ -173,29 +176,16 @@ def _parametric_marks(t: QuadTarget, p: int) -> bytearray:
 _BIT_MARKS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _qr_marks(t: QuadTarget, p: int) -> bytes:
-    """p bytes, byte r 1 when r is in admissible_residues_qr(t, p)."""
+def admissible_residues_qr(t: QuadTarget, p: int) -> bytes:
+    """Marks of the residues r of u mod p whose discriminant can be a
+    square mod p: p bytes, byte r 1 when (8r + offset)^2 - N is a square
+    (or zero) mod p, else 0, so a true witness is never excluded.  They
+    are the bits of the kill class arith.nonsquare_classes builds for p,
+    whose period is p.
+    """
     _check_filter_prime(t, p)
     ((_, alive),) = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, (p,))
     return bin(alive)[:1:-1].ljust(p, "0").encode().translate(_BIT_MARKS)  # lowest bit first
-
-
-def admissible_residues_parametric(t: QuadTarget, p: int) -> set[int]:
-    """Residues of u mod p compatible with a factor, by the inverse sweep.
-
-    The set is { (x^-1 N + x - 2*offset) / 16 mod p : x in 1..p-1 }.
-    """
-    return set(compress(range(p), _parametric_marks(t, p)))
-
-
-def admissible_residues_qr(t: QuadTarget, p: int) -> set[int]:
-    """Residues r of u mod p whose discriminant can be a square mod p.
-
-    Keeps r whenever (8r + offset)^2 - N is a square (or zero) mod p, so a
-    true witness is never excluded: these are the set bits of the kill
-    class arith.nonsquare_classes builds for p, whose period is p.
-    """
-    return set(compress(range(p), _qr_marks(t, p)))
 
 
 def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
@@ -225,7 +215,7 @@ def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> l
     """
     if any(p < 3 or p % 2 == 0 for p in filter_primes):
         raise ValueError("filter primes must be odd")
-    own = [p for p in filter_primes if p <= _QR_CLASS_BOUND and all(q % p for q in arith._SCREENS)]
+    own = [p for p in filter_primes if p <= _QR_CLASS_BOUND and all(q % p for q in arith.SCREENS)]
     kills = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, own)
     if use_heuristic_filters:
         skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)

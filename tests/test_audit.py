@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fermatsieve import arith, audit, fermat_numbers, quadform
 from fermatsieve.audit import ClaimId, Violation
+from test_quadform import marked
 
 F5_PAIR = (641, 6700417)
 
@@ -459,7 +460,7 @@ def test_admissible_masks_match_the_parametric_sets():
         for p in arith.primes_up_to(97)[1:]:
             if x.N % p:
                 admitted = {u for u in range(p) if not audit._not_admissible(x, u, (p,))}
-                assert admitted == quadform.admissible_residues_parametric(x.t, p), (n, p)
+                assert admitted == marked(quadform.admissible_residues_parametric(x.t, p)), (n, p)
 
 
 def test_admissible_mask_cache_is_bounded():

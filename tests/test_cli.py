@@ -389,19 +389,30 @@ def test_candidates_rejects_non_prime_modulus(capsys):
         assert rc == 2, bad
 
 
-def test_candidates_prime_above_cap_exits_2_before_any_sweep(monkeypatch, capsys):
-    # 1048583 is a prime above 2^20; each residue sweep costs O(p)
-    assert arith.is_prime(1048583) and 1048583 > arith.PRIME_BOUND_MAX
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Each residue sweep, the O(p) work of candidates --prime, raises."""
 
-    def no_sweep(t, p):
+    def sweep(t, p):
         raise AssertionError(f"residue sweep mod {p} called")
 
-    monkeypatch.setattr(quadform, "admissible_residues_parametric", no_sweep)
-    monkeypatch.setattr(quadform, "admissible_residues_qr", no_sweep)
+    monkeypatch.setattr(quadform, "admissible_residues_parametric", sweep)
+    monkeypatch.setattr(quadform, "admissible_residues_qr", sweep)
+
+
+def test_candidates_prime_above_cap_exits_2_before_any_sweep(no_sweep, capsys):
+    # 1048583 is a prime above 2^20; each residue sweep costs O(p)
+    assert arith.is_prime(1048583) and 1048583 > arith.PRIME_BOUND_MAX
     rc, out, err = run(capsys, "candidates", "--n", "4", "--prime", "1048583")
     assert rc == 2
     assert out == ""
     assert f"--prime must be <= {arith.PRIME_BOUND_MAX}" in err
+
+
+def test_candidates_prime_below_cap_reaches_the_sweep(no_sweep, capsys):
+    # the control: the guarded sweeps are the ones the command runs
+    with pytest.raises(AssertionError, match="residue sweep mod 7 called"):
+        run(capsys, "candidates", "--n", "4", "--prime", "7")
 
 
 def test_candidates_json(capsys):

@@ -111,16 +111,21 @@ def test_pair_from_candidate_rejects_trivial_split():
         quadform.pair_from_candidate(t, cand)
 
 
+def marked(marks) -> set:
+    """The residues r whose byte marks[r] is set."""
+    return {r for r, mark in enumerate(marks) if mark}
+
+
 def test_admissible_residue_examples():
     t65 = quadform.make_target(4)
-    assert quadform.admissible_residues_parametric(t65, 7) == {1, 2, 3, 4}
-    assert quadform.admissible_residues_qr(t65, 7) == {1, 2, 3, 4}
-    assert quadform.admissible_residues_parametric(t65, 3) == {1}
-    assert quadform.admissible_residues_qr(t65, 3) == {1}
+    assert marked(quadform.admissible_residues_parametric(t65, 7)) == {1, 2, 3, 4}
+    assert marked(quadform.admissible_residues_qr(t65, 7)) == {1, 2, 3, 4}
+    assert marked(quadform.admissible_residues_parametric(t65, 3)) == {1}
+    assert marked(quadform.admissible_residues_qr(t65, 3)) == {1}
 
     t325 = quadform.make_target(9)
-    param = quadform.admissible_residues_parametric(t325, 7)
-    assert param == quadform.admissible_residues_qr(t325, 7)
+    param = marked(quadform.admissible_residues_parametric(t325, 7))
+    assert param == marked(quadform.admissible_residues_qr(t325, 7))
     # both true witnesses of 325 must be admissible
     assert 2 % 7 in param and 4 % 7 in param
 
@@ -159,7 +164,7 @@ def test_qr_residues_match_eulers_criterion():
             expected = {
                 r for r in range(p) if pow((8 * r + t.offset) ** 2 - t.N, half, p) in (0, 1)
             }
-            assert quadform.admissible_residues_qr(t, p) == expected, (n, p)
+            assert marked(quadform.admissible_residues_qr(t, p)) == expected, (n, p)
 
 
 def test_filter_duality_small_sweep():
@@ -183,7 +188,7 @@ def test_qr_kill_classes_complement_admissible_residues():
         for p in primes:
             if t.N % p == 0:
                 continue
-            rejected = set(range(p)) - quadform.admissible_residues_qr(t, p)
+            rejected = set(range(p)) - marked(quadform.admissible_residues_qr(t, p))
             ((period, alive),) = arith.nonsquare_classes(
                 t.N, quadform.CENTER_STEP, t.offset, [p]
             )
