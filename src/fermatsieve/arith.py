@@ -132,7 +132,10 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=SCREENS) -> list:
     filters of their own, as --heuristic-filters does.  Classes are cached
     by (q, N mod q, step mod q, offset mod q), on which alone they depend;
     each is a pair of ints, so no caller can change what the cache holds.
+    A modulus below 1 raises kill_class's ValueError.
     """
+    if any(q < 1 for q in moduli):
+        raise ValueError("kill class modulus must be >= 1")
     return [_nonsquare_class(q, N % q, step % q, offset % q) for q in moduli]
 
 

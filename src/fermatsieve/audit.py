@@ -522,12 +522,14 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     does not reproduce means the ledger itself is corrupt.  A modulus past
     arith.PRIME_BOUND_MAX, the cap on the audit's own prime bound, gives
     False before anything is built: an E4/O4 mask costs a byte per residue.
+    A record of the wrong shape (no pair of ints, a modulus that is no int)
+    gives False too: the replay never raises.
     """
     c = _BY_ID[claim]
-    if v.modulus is not None and v.modulus > arith.PRIME_BOUND_MAX:
-        return False
     try:
         (a, b), p = v.pair, v.modulus
+        if p is not None and p > arith.PRIME_BOUND_MAX:
+            return False
         if c.family == "fermat":
             t = fermat_numbers.make_fermat(v.n)  # refuses n past MAX_INDEX before F_n is built
             x = _Fermat(t, t.value, v.pair)
@@ -535,16 +537,16 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
             x = _Generator(v.n)
         if x.family != c.family or x.N != v.N:
             return False
-        if c.index is not None and (a * b != x.N or c.index(x, a, b) != v.u):
-            return False
-    except (ValueError, ArithmeticError):
+        if c.index is not None:
+            if a * b != x.N or c.index(x, a, b) != v.u:
+                return False
+            prime = callable(c.moduli) and p is not None and p > 2 and arith.is_prime(p)
+            allowed = c.moduli(x, _primes([p] if prime else [])) if callable(c.moduli) else c.moduli
+            if p not in allowed:
+                return False
+        return c.applies(x) and bool(c.violated(x, v.u, (p,)))
+    except (TypeError, ValueError, ArithmeticError):
         return False
-    if c.index is not None:
-        prime = callable(c.moduli) and p is not None and p > 2 and arith.is_prime(p)
-        allowed = c.moduli(x, _primes([p] if prime else [])) if callable(c.moduli) else c.moduli
-        if p not in allowed:
-            return False
-    return c.applies(x) and bool(c.violated(x, v.u, (p,)))
 
 
 def report_to_dict(report: ClaimReport) -> dict:

@@ -6,9 +6,16 @@ inspection), audit (claim verification ledger), fermat (Fermat-number
 searches), bench (strategy comparison).
 
 Exit codes: 0 success/found, 1 legitimate negative (prime or budget
-exhausted), 2 invalid input, 3 internal inconsistency.  Human-readable
-text goes to stdout, diagnostics to stderr; --json output and report
-files are stable-key-ordered so identical runs produce identical bytes.
+exhausted), 2 invalid input, 3 internal inconsistency.  A command returns
+0 or 1 and reports anything else by raising: a ValueError (a refused
+argument, an unwritable output path, a value too large to print) and an
+ArithmeticError (an internal error, such as quadform.derive_u or
+fermat_numbers.lambda_of_pair finding a pair off its progression, or an
+audit violation that fails re-verification).  main alone turns the first
+into exit 2 with one "error: MSG" line on stderr, and the second into
+exit 3 with one "internal inconsistency: MSG" line.  Human-readable text
+goes to stdout, diagnostics to stderr; --json output and report files are
+stable-key-ordered so identical runs produce identical bytes.
 """
 
 import argparse
@@ -47,10 +54,6 @@ EXIT_INCONSISTENT = 3
 #: has 2467 digits; F_14 has 4933, past the 4300-digit limit on int-to-str
 #: conversion that CPython sets by default, so from there on "F" is null.
 JSON_F_MAX_INDEX = 13
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INVALID
 
 
 def _encode(value, indent: str, out: list) -> None:
@@ -127,52 +130,48 @@ def _emit(args, command: str, parameters: dict, results, lines: list[str]) -> No
     print(_envelope(command, parameters, results) if args.json else "\n".join(lines))
 
 
-def _refuse_unwritable(path: str) -> int | None:
-    """Exit 2 before any work if path is a directory or its directory is missing."""
+def _refuse_unwritable(path: str) -> None:
+    """ValueError before any work if path is a directory or its directory is missing."""
     if os.path.isdir(path):
-        return _fail(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     try:
         os.stat(os.path.dirname(path) or ".")
     except OSError as exc:
-        return _fail(f"cannot write {path}: {exc.strerror}")
-    return None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write(path: str, text: str) -> int | None:
-    """Write text to path (UTF-8, LF); the exit code when it cannot be written."""
+def _write(path: str, text: str) -> None:
+    """Write text to path (UTF-8, LF); ValueError when it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        return _fail(f"cannot write {path}: {exc.strerror}")
-    return None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _int_list(text: str) -> list[int] | None:
-    """The integers of a comma-separated list; None when one is not an integer."""
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of flag's comma-separated list text."""
     try:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        return None
+        raise ValueError(f"{flag} must be a comma-separated list of integers") from None
 
 
-def _resolve_generator(args) -> int | None:
+def _resolve_generator(args) -> int:
     """Generator n from --n, or recovered from --N (which must be 4n^2+1)."""
-    if args.n is not None:
-        return args.n if args.n >= 1 else None
-    N = args.N
-    if N < 5 or (N - 1) % 4 != 0:
-        return None
-    n = arith.isqrt((N - 1) // 4)
-    return n if n >= 1 and 4 * n * n + 1 == N else None
+    n, N = args.n, args.N
+    if n is None:
+        n = arith.isqrt((N - 1) // 4) if N >= 5 and (N - 1) % 4 == 0 else 0
+        n = n if 4 * n * n + 1 == N else 0
+    if n < 1:
+        raise ValueError("need --n >= 1 or --N of the form 4n^2+1 with n >= 1")
+    return n
 
 
 def cmd_factor(args) -> int:
     n = _resolve_generator(args)
-    if n is None:
-        return _fail("need --n >= 1 or --N of the form 4n^2+1 with n >= 1")
     if args.prime_bound > arith.PRIME_BOUND_MAX:
-        return _fail(f"--prime-bound must be <= {arith.PRIME_BOUND_MAX}")
+        raise ValueError(f"--prime-bound must be <= {arith.PRIME_BOUND_MAX}")
     t = quadform.make_target(n)
     if args.heuristic_filters:
         primes = quadform.default_filter_primes(t, args.prime_bound)
@@ -226,11 +225,8 @@ def cmd_factor(args) -> int:
 def cmd_factor_generic(args) -> int:
     N = args.N
     if args.budget is not None and args.budget < 0:
-        return _fail("--budget must be >= 0")
-    try:
-        outcome = fermat_generic.fermat_factor(N, step_budget=args.budget)
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError("--budget must be >= 0")
+    outcome = fermat_generic.fermat_factor(N, step_budget=args.budget)
     parameters = {"N": N, "budget": args.budget}
     if isinstance(outcome, fermat_generic.SquareSplit):
         c, d, a, b = outcome
@@ -246,14 +242,11 @@ def cmd_factor_generic(args) -> int:
 def cmd_candidates(args) -> int:
     p = args.prime
     if p is not None and p > arith.PRIME_BOUND_MAX:
-        return _fail(f"--prime must be <= {arith.PRIME_BOUND_MAX}")
-    try:
-        t = quadform.make_target(args.n)
-        if p is not None:
-            parametric_marks = quadform.admissible_residues_parametric(t, p)
-            qr_marks = quadform.admissible_residues_qr(t, p)
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError(f"--prime must be <= {arith.PRIME_BOUND_MAX}")
+    t = quadform.make_target(args.n)
+    if p is not None:
+        parametric_marks = quadform.admissible_residues_parametric(t, p)
+        qr_marks = quadform.admissible_residues_qr(t, p)
     u_min, u_sup = quadform.u_interval(t)
     span = quadform.u_range(t)
     count = max(span.stop - span.start, 0)  # len() overflows past sys.maxsize
@@ -282,29 +275,24 @@ def cmd_candidates(args) -> int:
 def cmd_audit(args) -> int:
     parts = args.range.split(":")
     if len(parts) != 2:
-        return _fail("--range must look like lo:hi")
+        raise ValueError("--range must look like lo:hi")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        return _fail("--range bounds must be integers")
+        raise ValueError("--range bounds must be integers") from None
     if lo < 1 or lo > hi:
-        return _fail(f"bad range [{lo}, {hi}]: need 1 <= lo <= hi")
-    try:
-        selected = audit.parse_claim_spec(args.claims)
-    except ValueError as exc:
-        return _fail(str(exc))
-    fermat_indices = _int_list(args.fermat_indices)
-    if fermat_indices is None:
-        return _fail("--fermat-indices must be a comma-separated list of integers")
+        raise ValueError(f"bad range [{lo}, {hi}]: need 1 <= lo <= hi")
+    selected = audit.parse_claim_spec(args.claims)
+    fermat_indices = _int_list(args.fermat_indices, "--fermat-indices")
     try:
         for i in fermat_indices:
             fermat_numbers.make_fermat(i)
     except ValueError as exc:
-        return _fail(f"--fermat-indices: {exc}")
+        raise ValueError(f"--fermat-indices: {exc}") from None
     if args.prime_bound > arith.PRIME_BOUND_MAX:
-        return _fail(f"--prime-bound must be <= {arith.PRIME_BOUND_MAX}")
-    if args.json and (failed := _refuse_unwritable(args.json)) is not None:
-        return failed
+        raise ValueError(f"--prime-bound must be <= {arith.PRIME_BOUND_MAX}")
+    if args.json:
+        _refuse_unwritable(args.json)
 
     reports = []
     quad = selected & audit.QUAD_CLAIMS
@@ -315,20 +303,13 @@ def cmd_audit(args) -> int:
         fermat_reports = audit.audit_fermat(fermat_indices, args.prime_bound)
         reports.extend(r for r in fermat_reports if r.claim in fermat_claims)
 
-    bad = [
-        (r.claim, v)
-        for r in reports
-        for v in r.violations
-        if not audit.verify_violation(r.claim, v)
-    ]
-    if bad:
-        claim, v = bad[0]
-        print(
-            f"internal inconsistency: recorded violation failed re-verification "
-            f"({claim.value}: n={v.n}, detail={v.detail})",
-            file=sys.stderr,
-        )
-        return EXIT_INCONSISTENT
+    for r in reports:
+        for v in r.violations:
+            if not audit.verify_violation(r.claim, v):
+                raise ArithmeticError(
+                    "recorded violation failed re-verification "
+                    f"({r.claim.value}: n={v.n}, detail={v.detail})"
+                )
 
     if args.json:
         parameters = {
@@ -338,9 +319,7 @@ def cmd_audit(args) -> int:
             "fermat_indices": fermat_indices,
         }
         results = [audit.report_to_dict(r) for r in reports]
-        failed = _write(args.json, _envelope("audit", parameters, results) + "\n")
-        if failed is not None:
-            return failed
+        _write(args.json, _envelope("audit", parameters, results) + "\n")
     for r in reports:
         print(
             f"{r.claim.value}: instances={r.instances_tested} "
@@ -351,16 +330,13 @@ def cmd_audit(args) -> int:
 
 def cmd_fermat(args) -> int:
     if args.budget < 0:
-        return _fail("--budget must be >= 0")
-    try:
-        t = fermat_numbers.make_fermat(args.index)
-        if args.mode == "lucas":
-            hits = fermat_numbers.lucas_search(t, args.budget)
-        else:
-            outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
-            hits = outcome.hits
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError("--budget must be >= 0")
+    t = fermat_numbers.make_fermat(args.index)
+    if args.mode == "lucas":
+        hits = fermat_numbers.lucas_search(t, args.budget)
+    else:
+        outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
+        hits = outcome.hits
     name = f"F_{args.index}"
     results = {"F": t.value if args.index <= JSON_F_MAX_INDEX else None}
     if args.mode == "lucas":
@@ -393,20 +369,15 @@ def cmd_fermat(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    targets = _int_list(args.targets)
-    if targets is None:
-        return _fail("--targets must be a comma-separated list of integers")
+    targets = _int_list(args.targets, "--targets")
     if not targets:
-        return _fail("no targets given")
+        raise ValueError("no targets given")
     strategies = [s.strip() for s in args.strategies.split(",")]
     if args.strategies.lower() == "all":
         strategies = None  # run_bench's default, every strategy
-    if args.csv and (failed := _refuse_unwritable(args.csv)) is not None:
-        return failed
-    try:
-        rows = bench.run_bench(targets, strategies, repetitions=args.repetitions)
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.csv:
+        _refuse_unwritable(args.csv)
+    rows = bench.run_bench(targets, strategies, repetitions=args.repetitions)
     table = [
         (r.strategy, r.target_n, r.N, r.candidates_examined, str(r.found).lower(), r.elapsed_ns)
         for r in rows
@@ -414,8 +385,7 @@ def cmd_bench(args) -> int:
     if args.csv:
         header = ("strategy", "n", "N", "candidates", "found", "elapsed_ns")
         text = "".join(",".join(map(str, row)) + "\n" for row in [header, *table])
-        if (failed := _write(args.csv, text)) is not None:
-            return failed
+        _write(args.csv, text)
     for strategy, n, _, candidates, found, elapsed_ns in table:
         print(
             f"{strategy:<28} n={n:<6} candidates={candidates:<8} "
@@ -489,12 +459,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command argv names and return its exit code: the command's
+    own 0 or 1, argparse's code, or 2 for a ValueError and 3 for an
+    ArithmeticError the command raised, each reported on one stderr line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ArithmeticError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 def entrypoint() -> None:

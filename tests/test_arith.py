@@ -319,9 +319,12 @@ def test_nonsquare_classes_cannot_be_changed_by_a_caller():
 
 
 def test_sieve_progression_rejects_bad_modulus():
-    for q in (0, -1):
-        with pytest.raises(ValueError):
+    for q in (0, -1, -5):
+        with pytest.raises(ValueError, match="^kill class modulus must be >= 1$"):
             arith.kill_class(q, ())
+        # nonsquare_classes refuses it alike: 0 would divide by zero, -5 ask for a negative count
+        with pytest.raises(ValueError, match="^kill class modulus must be >= 1$"):
+            arith.nonsquare_classes(65, 8, 1, (3, q))
     with pytest.raises(ValueError):
         list(arith.sieve_progression(0, 10, [(0, 0)]))
     # on an empty range too, and for alive bits outside [0, 2^period)

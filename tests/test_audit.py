@@ -419,6 +419,16 @@ def _records(draw):
     return claim, Violation(n, N, pair, u, modulus, "")
 
 
+def test_replay_of_a_record_of_the_wrong_shape_gives_false():
+    # no pair, and a modulus that is a str: the replay gives False, as for a wrong value
+    for v in (Violation(4, 65, None, 1, 3, ""), Violation(4, 65, (5, 13), 1, "3", "")):
+        assert audit.verify_violation(ClaimId.E3, v) is False
+    e3 = Violation(n=48, N=9217, pair=(13, 709), u=45, modulus=3, detail="")
+    assert audit.verify_violation(ClaimId.E3, e3) is True
+    for v in (e3._replace(pair=None), e3._replace(modulus="3")):
+        assert audit.verify_violation(ClaimId.E3, v) is False
+
+
 @settings(max_examples=400, deadline=None)
 @given(_records())
 def test_replay_always_returns_a_bool(record):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 import tracemalloc
 
@@ -726,6 +727,31 @@ def test_audit_exit_3_when_reverification_breaks(monkeypatch, capsys):
     rc, _, err = run(capsys, "audit", "--range", "1:50", "--claims", "O3")
     assert rc == 3
     assert "re-verification" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python has no limit on int-to-str conversion",
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_candidates_n_too_long_to_print_exits_2(capsys, json_flag):
+    # N = 4n^2 + 1 has 4401 digits, past the 4300-digit int-to-str limit:
+    # the ValueError of printing it is reported, not a traceback
+    rc, out, err = run(capsys, "candidates", "--n", str(10**2200), *json_flag)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_internal_arithmetic_error_exits_3(monkeypatch, capsys):
+    # derive_u reports a pair off its progression as an ArithmeticError;
+    # N = 325 is split by division, and each pair is validated by derive_u
+    def broken(t, a, b):
+        raise ArithmeticError(f"center of pair ({a}, {b}) is off the progression")
+
+    monkeypatch.setattr(quadform, "derive_u", broken)
+    rc, out, err = run(capsys, "factor", "--n", "9")
+    assert (rc, out) == (3, "")
+    assert err == "internal inconsistency: center of pair (13, 25) is off the progression\n"
 
 
 def test_envelope_reports_tool_version(capsys):
