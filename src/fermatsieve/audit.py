@@ -391,24 +391,41 @@ class ClaimReport(NamedTuple):
     violations: list[Violation]
 
 
-def _check(claims, x, tallies, primes) -> None:
-    """Count and judge every instance of the claims on target x, adding to
-    each claim's tally [instances tested, violations].  A claim's predicate
-    is called once per pair with all of the pair's moduli (once per target
-    for a claim made once per target), its moduli picked once per target."""
-    indices = {None: [None]}  # index function -> the index of each pair
-    for c in claims:
-        if not c.applies(x):
-            continue
-        if c.index not in indices:
-            indices[c.index] = [c.index(x, *pair) for pair in x.pairs]
-        moduli = c.moduli(x, primes) if callable(c.moduli) else c.moduli
-        pairs = x.pairs if c.index else [None]
-        tallies[c.id][0] += len(pairs) * len(moduli)
-        for pair, u in zip(pairs, indices[c.index]):
-            for p, detail in c.violated(x, u, moduli):
-                record = (pair, u) if pair else x.target_record()
-                tallies[c.id][1].append(Violation(x.n, x.N, *record, p, detail))
+def _audit(family, claims, targets, prime_bound, notes) -> list[ClaimReport]:
+    """The reports of the selected claims of one family (QUAD_CLAIMS or
+    FERMAT_CLAIMS; claims None selects the whole family) over the targets.
+
+    Every instance of a selected claim is counted and judged on each target
+    of the claim's family whose side condition holds: the predicate is
+    called once per pair with all of the pair's moduli (once per target for
+    a claim made once per target), its moduli picked once per target.  A
+    claim nobody selected costs nothing.  The range text joins notes once
+    the targets are consumed, so a target generator may still append to it.
+    """
+    selected = family if claims is None else frozenset(claims)
+    foreign = selected - family
+    if foreign:
+        kind = "generator" if family is QUAD_CLAIMS else "Fermat"
+        raise ValueError(f"not {kind} claims: {sorted(c.value for c in foreign)}")
+    primes = _primes([p for p in arith.primes_up_to(prime_bound) if p != 2])
+    chosen = [c for c in CLAIMS if c.id in selected]
+    tallies = {c.id: [0, []] for c in chosen}
+    for x in targets:
+        indices = {None: [None]}  # index function -> the index of each pair
+        for c in chosen:
+            if c.family != x.family or not c.applies(x):
+                continue
+            if c.index not in indices:
+                indices[c.index] = [c.index(x, *pair) for pair in x.pairs]
+            moduli = c.moduli(x, primes) if callable(c.moduli) else c.moduli
+            pairs = x.pairs if c.index else [None]
+            tallies[c.id][0] += len(pairs) * len(moduli)
+            for pair, u in zip(pairs, indices[c.index]):
+                for p, detail in c.violated(x, u, moduli):
+                    record = (pair, u) if pair else x.target_record()
+                    tallies[c.id][1].append(Violation(x.n, x.N, *record, p, detail))
+    range_desc = "; ".join(notes)
+    return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
 
 def audit_claims(
@@ -428,19 +445,9 @@ def audit_claims(
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
-    selected = frozenset(claims) if claims is not None else QUAD_CLAIMS
-    foreign = selected - QUAD_CLAIMS
-    if foreign:
-        raise ValueError(f"not generator claims: {sorted(c.value for c in foreign)}")
-    primes = _primes([p for p in arith.primes_up_to(prime_bound) if p != 2])
-    range_desc = f"n in [{n_min}, {n_max}]; primes <= {prime_bound}"
-    chosen = [c for c in CLAIMS if c.id in selected]
-    tallies = {c.id: [0, []] for c in chosen}
-    by_family = {f: [c for c in chosen if c.family == f] for f in ("even", "odd")}
-    for n in range(n_min, n_max + 1):
-        x = _Generator(n)
-        _check(by_family[x.family], x, tallies, primes)
-    return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
+    targets = (_Generator(n) for n in range(n_min, n_max + 1))
+    notes = [f"n in [{n_min}, {n_max}]; primes <= {prime_bound}"]
+    return _audit(QUAD_CLAIMS, claims, targets, prime_bound, notes)
 
 
 #: The divisor-form members s that the audit's Fermat search tests per index.
@@ -474,40 +481,42 @@ def _fermat_divisor(idx: int):
     return None, f"F_{idx}: skipped, no factorization within search budget {_SEARCH_BUDGET}"
 
 
-def audit_fermat(indices, prime_bound: int = 97) -> list[ClaimReport]:
-    """Audit the Fermat-number claims for the given indices.
+def audit_fermat(indices, prime_bound: int = 97, claims=None) -> list[ClaimReport]:
+    """Audit the selected Fermat-number claims for the given indices.
 
-    Factor pairs are recovered by the divisor-form search, not hardcoded;
-    the search runs once per index per process, and nothing else is kept
-    between calls.  Indices whose factorization is out of reach within
-    _SEARCH_BUDGET divisor-form members are skipped with a notice in the
-    range description, and indices below the machinery's preconditions are
-    probed and labeled rather than audited.  Every target is built by
+    claims selects as audit_claims's does: None means all of FERMAT_CLAIMS,
+    and a claim outside it raises ValueError.  Factor pairs are recovered
+    by the divisor-form search, not hardcoded; the search runs once per
+    index per process, and nothing else is kept between calls.  Indices
+    whose factorization is out of reach within _SEARCH_BUDGET divisor-form
+    members are skipped with a notice in the range description, and
+    indices below the machinery's preconditions are probed and labeled
+    rather than audited.  Every target is built by
     fermat_numbers.make_fermat before any search, so an index it refuses
-    raises its ValueError first.
+    raises its ValueError first; F_n itself is built one index at a time,
+    as the audit reaches it.
     """
     indices = sorted(set(indices))
     targets = [fermat_numbers.make_fermat(idx) for idx in indices]
-    primes = _primes([p for p in arith.primes_up_to(prime_bound) if p != 2])
-    claims = [c for c in CLAIMS if c.family == "fermat"]
-    tallies = {c.id: [0, []] for c in claims}
     # range_tested: the range, then a note per index skipped or probed
     notes = [f"F indices {indices}; primes <= {prime_bound}"]
-    for t in targets:
-        idx = t.index_n
-        a, note = _fermat_divisor(idx)
-        if a is None:
-            notes.append(note)
-            continue
-        if idx < 5:
-            notes.append(
-                f"F_{idx}: composite; out-of-precondition probe "
-                "(center-index interval needs index >= 5)"
-            )
-        F = t.value
-        _check(claims, _Fermat(t, F, (a, F // a)), tallies, primes)
-    range_desc = "; ".join(notes)
-    return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
+
+    def audited():
+        for t in targets:
+            idx = t.index_n
+            a, note = _fermat_divisor(idx)
+            if a is None:
+                notes.append(note)
+                continue
+            if idx < 5:
+                notes.append(
+                    f"F_{idx}: composite; out-of-precondition probe "
+                    "(center-index interval needs index >= 5)"
+                )
+            F = t.value
+            yield _Fermat(t, F, (a, F // a))
+
+    return _audit(FERMAT_CLAIMS, claims, audited(), prime_bound, notes)
 
 
 def verify_violation(claim: ClaimId, v: Violation) -> bool:

@@ -300,8 +300,7 @@ def cmd_audit(args) -> int:
         reports.extend(audit.audit_claims(lo, hi, quad, args.prime_bound))
     fermat_claims = selected & audit.FERMAT_CLAIMS
     if fermat_claims:
-        fermat_reports = audit.audit_fermat(fermat_indices, args.prime_bound)
-        reports.extend(r for r in fermat_reports if r.claim in fermat_claims)
+        reports.extend(audit.audit_fermat(fermat_indices, args.prime_bound, fermat_claims))
 
     for r in reports:
         for v in r.violations:

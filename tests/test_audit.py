@@ -535,6 +535,14 @@ def test_audit_fermat_probe_and_skip_notes():
     assert "skipped" in reports[0].range_tested
 
 
+def test_audit_fermat_judges_only_the_selected_claims():
+    whole = {r.claim: r for r in audit.audit_fermat([5, 6])}
+    chosen = audit.audit_fermat([5, 6], claims={ClaimId.L2, ClaimId.F5})
+    assert chosen == [whole[ClaimId.F5], whole[ClaimId.L2]]  # in CLAIMS order
+    with pytest.raises(ValueError, match="not Fermat claims: \\['E1'\\]"):
+        audit.audit_fermat([5], claims={ClaimId.E1})
+
+
 def test_audit_fermat_searches_each_index_once(monkeypatch):
     first = audit.audit_fermat([5, 6])
     calls = []

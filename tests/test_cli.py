@@ -508,6 +508,18 @@ def test_audit_fermat_claims(capsys):
     assert "L2: instances=1 violations=0" in out
 
 
+def test_audit_judges_only_the_selected_fermat_claims(capsys, monkeypatch):
+    # F1's square test is the one whose cost grows with F_n (a 16M-bit isqrt
+    # at index 23); an L2-only audit never reaches it
+    def no_square(x):
+        raise AssertionError("an unselected claim was judged")
+
+    monkeypatch.setattr(arith, "is_perfect_square", no_square)
+    rc, out, _ = run(capsys, "audit", "--range", "1:1", "--claims", "L2", "--fermat-indices", "5")
+    assert rc == 0
+    assert out == "L2: instances=1 violations=0\n"
+
+
 def test_fermat_lambda_f5(capsys):
     rc, out, _ = run(capsys, "fermat", "--index", "5", "--mode", "lambda", "--budget", "10000")
     assert rc == 0
