@@ -129,7 +129,7 @@ def nonsquare_classes(N: int, step: int, offset: int, moduli=SCREENS) -> list:
     q divides N every discriminant is a square mod q and every bit is set.
     The default moduli are the square screens, SCREENS, that
     square_centers adds to every scan; callers pass other moduli only for
-    filters of their own, as --heuristic-filters does.  Classes are cached
+    filters of their own, as quadform.filter_kills does.  Classes are cached
     by (q, N mod q, step mod q, offset mod q), on which alone they depend;
     each is a pair of ints, so no caller can change what the cache holds.
     A modulus below 1 raises kill_class's ValueError.
@@ -345,8 +345,8 @@ def is_prime(x: int) -> bool:
 #: Largest prime bound the toolkit takes: the CLI refuses a larger
 #: --prime-bound or --prime, and audit.verify_violation a record whose
 #: modulus is larger.  It caps primes_up_to's sieve, a byte per integer, at
-#: 1 MiB, but not the class and mask building of --heuristic-filters and of
-#: the audit's E4/O4, which grows with the sum of the primes up to it.
+#: 1 MiB, but not the mask building of the audit's E4/O4, which grows with
+#: the sum of the primes up to it.
 PRIME_BOUND_MAX = 1 << 20
 
 

@@ -262,8 +262,13 @@ def _converse_fails(x, u):
 
 
 def _lam_disc_not_square(x, lam):
+    # the center (a + b) / 2 of the pair a * b = N has the discriminant
+    # ((b - a) / 2)^2, so a true instance takes no squaring or isqrt of
+    # F_n's size; any other center takes the exact square test
+    ((a, b),) = x.pairs
     center = x.t.center_step * lam + 1
-    if arith.is_perfect_square(center * center - x.N) is None:
+    exhibited = 2 * center == a + b and a * b == x.N
+    if not exhibited and arith.is_perfect_square(center * center - x.N) is None:
         return f"discriminant at lam={lam} is not a perfect square"
 
 

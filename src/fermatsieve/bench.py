@@ -13,7 +13,9 @@ survives the residue filters and the square screens and so reaches the
 exact square test, up to the first pair or the end of the sieve's scan.
 The sieve's scan stops at the trial-division crossover
 (quadform.search_bounds), and the trial divisions past it are not
-counted.
+counted.  The paper's heuristic skips are no strategy: they prune no
+scan, and factor --heuristic-filters drops their pairs from its sound
+answer (quadform.heuristic_pairs).
 """
 
 import enum
@@ -31,7 +33,6 @@ class Strategy(str, enum.Enum):
     PLAIN_FERMAT = "PlainFermat"
     QUAD_INTERVAL = "QuadInterval"
     QUAD_INTERVAL_QR = "QuadIntervalQRFiltered"
-    QUAD_INTERVAL_HEURISTIC = "QuadIntervalHeuristicFiltered"
 
 
 class BenchRow(NamedTuple):
@@ -78,20 +79,19 @@ def _measure(strategy: Strategy, t: quadform.QuadTarget):
 
         return lambda: fermat_generic.fermat_factor(t.N, _PLAIN_FERMAT_BUDGET), centers
     primes = () if strategy is Strategy.QUAD_INTERVAL else quadform.default_filter_primes(t)
-    heuristic = strategy is Strategy.QUAD_INTERVAL_HEURISTIC
 
     def survivors(pairs):
         # the u that reach the square test, those the filter classes and the
         # square screens leave, from u_min through the first pair's witness u
         # or through the end of the scan when that comes first
-        span, _ = quadform.search_bounds(t, heuristic)
+        span, _ = quadform.search_bounds(t)
         stop = min(span.stop, pairs[0].witness_u + 1) if pairs else span.stop
-        kills = quadform.filter_kills(t, primes, heuristic)
+        kills = quadform.filter_kills(t, primes)
         screened = [*kills, *arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)]
         count = arith.sieve_count(span.start, stop, screened)
         return count, (pairs[0].a, pairs[0].b) if pairs else None
 
-    return lambda: quadform.sieve_enumerate(t, primes, heuristic), survivors
+    return lambda: quadform.sieve_enumerate(t, primes), survivors
 
 
 def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
@@ -100,12 +100,10 @@ def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
     strategies holds Strategy members or their names, None for all of
     them.  Every argument is checked before anything is timed: an unknown
     strategy, repetitions < 1, a generator n < 1 and a prime target raise
-    ValueError up front.  The unsound heuristic-filtered strategy may
-    legitimately fail to find a pair (it can skip every true witness), and
-    PlainFermat fails when the split lies past its _PLAIN_FERMAT_BUDGET
-    centers, reporting that budget as its count; a failed row has
-    found=False and no pair.  TrialDivision, QuadInterval and
-    QuadIntervalQRFiltered always succeed on a composite target.
+    ValueError up front.  PlainFermat fails when the split lies past its
+    _PLAIN_FERMAT_BUDGET centers, reporting that budget as its count; a
+    failed row has found=False and no pair.  TrialDivision, QuadInterval
+    and QuadIntervalQRFiltered always succeed on a composite target.
     """
     try:
         chosen = list(Strategy) if strategies is None else [Strategy(s) for s in strategies]

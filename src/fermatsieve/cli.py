@@ -175,7 +175,7 @@ def cmd_factor(args) -> int:
     t = quadform.make_target(n)
     if args.heuristic_filters:
         primes = quadform.default_filter_primes(t, args.prime_bound)
-        pairs = quadform.sieve_enumerate(t, primes, use_heuristic_filters=True, want_all=args.all)
+        pairs = quadform.heuristic_pairs(t, primes, want_all=args.all)
         negative = "unknown"  # heuristic skips can hide a true witness
     else:
         pairs = quadform.factor_pairs(t, want_all=args.all)

@@ -17,9 +17,10 @@ returns p marks, byte r 1 when u = r (mod p) is admissible, else 0:
 
 The two forms always give the same marks; the QR form never rejects a
 true witness, so pruning with it cannot change the outcome of a search.
-The extra "heuristic" skips behind ``use_heuristic_filters`` do not share
-that guarantee (the audit module measures how often they misfire) and
-are off by default.
+The paper's "heuristic" skips do not share that guarantee (the audit's
+E3/O3 claims measure how often they misfire): heuristic_pairs drops the
+pairs whose witness u they skip from the sound answer, and no scan
+applies them.
 
 factor_pairs, which the factor command runs, divides N by the a = 1 mod 4
 up to N^(1/3) first, and runs sieve_enumerate with no filter primes only
@@ -50,6 +51,7 @@ __all__ = [
     "search_bounds",
     "sieve_enumerate",
     "factor_pairs",
+    "heuristic_pairs",
     "compositeness_witness",
     "derive_u",
 ]
@@ -194,33 +196,27 @@ def default_filter_primes(t: QuadTarget, bound: int = 97) -> list[int]:
 
 
 #: filter_kills builds QR classes for filter primes up to this bound only.
-#: Each class is built by a Python loop over its period: with a class for
-#: every odd prime up to 20000, sieve_enumerate at n = 3001 with the
-#: heuristic skips took 6.6 s, and 0.15 s with classes up to 97 alone.
+#: Each class is built by a Python loop over its period: at n = 3001 the
+#: classes of the odd primes up to 20000 take 6.7 s to build, where
+#: sieve_enumerate with those filter primes takes 0.24 ms.
 _QR_CLASS_BOUND = 97
 
 
-def filter_kills(t: QuadTarget, filter_primes, use_heuristic_filters: bool) -> list:
-    """Kill classes of the QR filters and, when asked, the heuristic skips
-    (u = 0 mod p for even n; 4u + 1 = 0, i.e. u = -4^-1 mod p, for odd n),
-    which arith.square_centers ANDs ahead of its square screens.
+def filter_kills(t: QuadTarget, filter_primes) -> list:
+    """Kill classes of the QR filters, which arith.square_centers ANDs
+    ahead of its square screens.
 
     A QR class is built only for a filter prime up to _QR_CLASS_BOUND that
     divides no screen modulus: a square mod 63, 65, 11 or 17 to 37 is a
     square mod each of its prime factors, so the screens drop every u the
     QR classes of 3, 5, 7, 11, 13 and 17 to 37 would.  A QR class never
     drops a square discriminant, so which primes get one changes no pair,
-    only how many u reach the exact square test.  Every filter prime keeps
-    its skip.
+    only how many u reach the exact square test.
     """
     if any(p < 3 or p % 2 == 0 for p in filter_primes):
         raise ValueError("filter primes must be odd")
     own = [p for p in filter_primes if p <= _QR_CLASS_BOUND and all(q % p for q in arith.SCREENS)]
-    kills = arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, own)
-    if use_heuristic_filters:
-        skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
-        kills += [arith.kill_class(p, (skip(p),)) for p in filter_primes if p % 4 == 3]
-    return kills
+    return arith.nonsquare_classes(t.N, CENTER_STEP, t.offset, own)
 
 
 def _to_split(t: QuadTarget, a: int) -> range:
@@ -245,26 +241,18 @@ def _pair(t: QuadTarget, a: int) -> FactorPair:
 _CROSSOVER_DIVISOR = 4
 
 
-def search_bounds(t: QuadTarget, use_heuristic_filters: bool = False) -> tuple[range, int]:
+def search_bounds(t: QuadTarget) -> tuple[range, int]:
     """(the u that sieve_enumerate scans, its trial-division bound B).
 
     B = isqrt(N) // _CROSSOVER_DIVISOR, and the scan ends at the (B+1)
     split's center or at the end of the paper's interval, whichever comes
-    first.  With the heuristic filters the scan covers the whole interval
-    and B = 0: nothing is trial-divided.
+    first.
     """
-    if use_heuristic_filters:
-        return u_range(t), 0
     B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
     return _to_split(t, B + 1), B
 
 
-def sieve_enumerate(
-    t: QuadTarget,
-    filter_primes=(),
-    use_heuristic_filters: bool = False,
-    want_all: bool = False,
-) -> list[FactorPair]:
+def sieve_enumerate(t: QuadTarget, filter_primes=(), want_all: bool = False) -> list[FactorPair]:
     """Search for the proper factor pairs of N.
 
     Every proper factor is 1 mod 4, so trial division by a = 1 mod 4 with
@@ -286,14 +274,9 @@ def sieve_enumerate(
     always the most balanced split.  An empty list means no divisor up to
     B and no witness up to the (B+1) split's center, which certifies N
     prime.
-
-    With use_heuristic_filters the heuristic skips join the QR classes and
-    the scan covers the paper's whole interval with no trial division; an
-    empty list then certifies nothing (a true witness may have been
-    skipped).
     """
-    span, B = search_bounds(t, use_heuristic_filters)
-    kills = filter_kills(t, filter_primes, use_heuristic_filters)
+    span, B = search_bounds(t)
+    kills = filter_kills(t, filter_primes)
     found: list[FactorPair] = []
     for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop, kills):
         found.append(pair_from_candidate(t, try_candidate(t, u)))
@@ -346,6 +329,23 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
         divisors |= {d * p for d in divisors}
     small = sorted((a for a in divisors if 1 < a and a * a < N), reverse=True)
     return [_pair(t, a) for a in (small if want_all else small[:1])]
+
+
+def heuristic_pairs(t: QuadTarget, filter_primes, want_all: bool = False) -> list[FactorPair]:
+    """factor_pairs(t, want_all=True) less each pair whose witness u the
+    paper's heuristic skips drop: u = 0 (mod p) for even n, 4u + 1 = 0
+    (mod p) for odd n, at each filter prime p = 3 (mod 4).
+
+    Returns the first kept pair, or every kept pair ascending in u when
+    want_all is set.  Every pair's u lies in the paper's interval, so these
+    are the pairs a whole-interval scan with the skips would find.  An
+    empty list certifies nothing: the skips can drop every true witness
+    (n = 30, whose only witness u = 18 is 0 mod 3).
+    """
+    skips = [p for p in filter_primes if p % 4 == 3]
+    index = (lambda u: 4 * u + 1) if t.offset == 3 else (lambda u: u)
+    kept = [x for x in factor_pairs(t, want_all=True) if all(index(x.witness_u) % p for p in skips)]
+    return kept if want_all else kept[:1]
 
 
 def compositeness_witness(t: QuadTarget) -> Candidate | None:

@@ -518,6 +518,22 @@ def test_audit_fermat_f5():
     assert reports[ClaimId.F3].violations == []
 
 
+def test_f1_judges_any_other_lam_by_the_exact_square_test(monkeypatch):
+    # F_5's pair has its center at lam = 409 and takes no square test; a
+    # lam one step away has a discriminant that is no square, and the
+    # center (1 + F_5) / 2 of the trivial split, at lam = 2^18, one that is
+    F1 = audit._BY_ID["F1"]
+    t = fermat_numbers.make_fermat(5)
+    x = audit._Fermat(t, t.value, F5_PAIR)
+    tested = []
+    square = arith.is_perfect_square
+    monkeypatch.setattr(arith, "is_perfect_square", lambda d: tested.append(d) or square(d))
+    assert F1.violated(x, 409, (None,)) == [] and tested == []
+    detail = "discriminant at lam=410 is not a perfect square"
+    assert F1.violated(x, 410, (None,)) == [(None, detail)] and len(tested) == 1
+    assert F1.violated(x, 2**18, (None,)) == [] and tested[1] == ((t.value - 1) // 2) ** 2
+
+
 def test_audit_fermat_f6():
     reports = report_map(audit.audit_fermat([6]))
     for claim in (ClaimId.F1, ClaimId.F2, ClaimId.F4, ClaimId.F5, ClaimId.L2):
@@ -573,18 +589,18 @@ def _flagged(claim_id, x, index, odd_primes):
 
 def test_heuristic_skips_drop_what_e3_and_o3_flag():
     # a pruning step is a claim the audit checks: the skips of
-    # --heuristic-filters are E3 (even n) and O3 (odd n), class for class
-    for n in range(1, 61):
+    # --heuristic-filters are E3 (even n) and O3 (odd n), pair for pair
+    odd_primes = [p for p in arith.primes_up_to(97) if p != 2]
+    outcomes = set()
+    for n in range(1, 401):
         x = audit._Generator(n)
-        primes = quadform.default_filter_primes(x.t)
-        sound = quadform.filter_kills(x.t, primes, False)
-        skips = quadform.filter_kills(x.t, primes, True)[len(sound):]
-        assert [q for q, _ in skips] == [p for p in primes if p % 4 == 3]
+        kept = quadform.heuristic_pairs(x.t, quadform.default_filter_primes(x.t), want_all=True)
         claim = "E3" if n % 2 == 0 else "O3"
-        for p, alive in skips:
-            for u in range(3 * p):
-                dropped = not alive >> (u % p) & 1
-                assert dropped == _flagged(claim, x, u, [p]), (n, p, u)
+        for pair in quadform.factor_pairs(x.t, want_all=True):
+            dropped = pair not in kept
+            assert dropped == _flagged(claim, x, pair.witness_u, odd_primes), (n, pair)
+            outcomes.add((claim, dropped))
+    assert outcomes == {(c, d) for c in ("E3", "O3") for d in (False, True)}
 
 
 @pytest.mark.parametrize("index", [5, 6, 7, 8])

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import resource
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermatsieve import arith, cli, quadform
+from fermatsieve import arith, cli, fermat_numbers, quadform
 
 
 def run(capsys, *argv):
@@ -203,6 +205,46 @@ def test_factor_heuristic_filters_not_a_verdict(capsys):
     assert rc == 1
     results = json.loads(out)["results"]
     assert (results["verdict"], results["pairs"]) == ("unknown", [])
+
+
+def _capped_factor(*argv):
+    """(exit code, stdout) of factor argv in a fresh process, under a 1 GiB
+    address-space cap and a 5 s timeout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "fermatsieve.cli", "factor", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "10000001"),  # N = 5 * 73 * 1095890630137, found by division first
+        ("--n", "3001", "--prime-bound", str(arith.PRIME_BOUND_MAX)),  # no class per prime
+    ],
+)
+def test_factor_heuristic_filters_cost_what_the_sound_search_costs(argv):
+    rc, out = _capped_factor(*argv, "--heuristic-filters", "--json")
+    assert rc == 0
+    assert json.loads(out)["results"]["verdict"] == "composite"
+
+
+def test_factor_heuristic_filters_on_a_prime_is_no_verdict():
+    # N = 4 * 1000012^2 + 1 is prime: nothing to drop, and still no verdict
+    rc, out = _capped_factor("--n", "1000012", "--heuristic-filters")
+    assert rc == 1
+    assert "no factor found; heuristic filters were on, so this is not a primality verdict" in out
 
 
 def test_factor_small_factor_of_large_target_is_fast(capsys):
@@ -509,15 +551,30 @@ def test_audit_fermat_claims(capsys):
 
 
 def test_audit_judges_only_the_selected_fermat_claims(capsys, monkeypatch):
-    # F1's square test is the one whose cost grows with F_n (a 16M-bit isqrt
-    # at index 23); an L2-only audit never reaches it
-    def no_square(x):
+    # F1 to F5 index the pair by its lambda, and F1's square test is an
+    # isqrt of F_n's size when the pair's own root fails; an L2-only audit
+    # reaches neither
+    def unselected(*args):
         raise AssertionError("an unselected claim was judged")
 
-    monkeypatch.setattr(arith, "is_perfect_square", no_square)
+    monkeypatch.setattr(arith, "is_perfect_square", unselected)
+    monkeypatch.setattr(fermat_numbers, "lambda_of_pair", unselected)
     rc, out, _ = run(capsys, "audit", "--range", "1:1", "--claims", "L2", "--fermat-indices", "5")
     assert rc == 0
     assert out == "L2: instances=1 violations=0\n"
+
+
+def test_audit_f1_takes_the_exhibited_root(capsys, monkeypatch):
+    # F_23 = 5 * 2^25 + 1 times a cofactor of 8M bits: the center of that
+    # pair has the discriminant ((b - a) / 2)^2, so F1 needs no square test
+    # of F_23's size (an isqrt of 16M bits: 87-99 s, 2-vCPU VM, Python 3.11)
+    def no_square(x):
+        raise AssertionError("F1 ran the square test on a true instance")
+
+    monkeypatch.setattr(arith, "is_perfect_square", no_square)
+    rc, out, _ = run(capsys, "audit", "--range", "1:1", "--claims", "F1", "--fermat-indices", "23")
+    assert rc == 0
+    assert out == "F1: instances=1 violations=0\n"
 
 
 def test_fermat_lambda_f5(capsys):
@@ -614,7 +671,7 @@ def test_bench_csv(tmp_path, capsys):
     assert b"\r" not in raw  # LF only
     lines = raw.decode().strip().split("\n")
     assert lines[0] == "strategy,n,N,candidates,found,elapsed_ns"
-    assert len(lines) == 11  # header + 2 targets x 5 strategies
+    assert len(lines) == 9  # header + 2 targets x 4 strategies
     qr = [l for l in lines if l.startswith("QuadIntervalQRFiltered,4,")]
     plain = [l for l in lines if l.startswith("QuadInterval,4,")]
     assert int(qr[0].split(",")[3]) <= int(plain[0].split(",")[3])
@@ -672,6 +729,13 @@ def test_write_error_after_the_work_exits_2(tmp_path, capsys, argv):
     rc, out, err = run(capsys, *argv, str(path))
     assert (rc, out) == (2, "")
     assert err == f"error: cannot write {path}: {os.strerror(errno.ENOTDIR)}\n"
+
+
+def test_bench_has_no_heuristic_strategy(capsys):
+    # the heuristic skips prune no scan, so there is no scan of theirs to time
+    rc, out, err = run(capsys, "bench", "--targets", "4", "--strategies", "QuadIntervalHeuristicFiltered")
+    assert (rc, out) == (2, "")
+    assert "strategies must come from: TrialDivision, PlainFermat, QuadInterval, QuadIntervalQRFiltered" in err
 
 
 def test_bench_rejects_prime_target(capsys):

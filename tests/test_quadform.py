@@ -249,7 +249,8 @@ def test_heuristic_filters_can_lose_the_only_witness():
     t = quadform.make_target(30)
     primes = quadform.default_filter_primes(t)
     assert quadform.sieve_enumerate(t, primes) != []
-    assert quadform.sieve_enumerate(t, primes, use_heuristic_filters=True) == []
+    assert quadform.heuristic_pairs(t, primes) == []
+    assert quadform.heuristic_pairs(t, primes, want_all=True) == []
 
 
 def test_heuristic_filters_can_change_the_found_pair():
@@ -258,16 +259,16 @@ def test_heuristic_filters_can_change_the_found_pair():
     t = quadform.make_target(9)
     primes = quadform.default_filter_primes(t)
     plain = quadform.sieve_enumerate(t, primes)
-    heuristic = quadform.sieve_enumerate(t, primes, use_heuristic_filters=True)
+    heuristic = quadform.heuristic_pairs(t, primes)
     assert [(p.a, p.b) for p in plain] == [(13, 25)]
     assert [(p.a, p.b) for p in heuristic] == [(5, 65)]
 
 
 def _every_qr_class_scan(t, primes, want_all):
-    """The pairs of a --heuristic-filters scan that ANDs the QR class of
-    every filter prime: the heuristic skips, built here, drop u over the
-    whole interval, and a square discriminant is kept only if it is a
-    square or 0 modulo every filter prime (Euler's criterion)."""
+    """The pairs of a whole-interval scan with the heuristic skips and the
+    QR class of every filter prime: the skips, built here as kill classes,
+    drop u over the whole interval, and a square discriminant is kept only
+    if it is a square or 0 modulo every filter prime (Euler's criterion)."""
     skip = (lambda p: -pow(4, -1, p) % p) if t.offset == 3 else (lambda p: 0)
     skips = [arith.kill_class(p, (skip(p),)) for p in primes if p % 4 == 3]
     span = quadform.u_range(t)
@@ -282,18 +283,20 @@ def _every_qr_class_scan(t, primes, want_all):
 
 
 def test_heuristic_scan_keeps_the_pairs_of_every_qr_class():
-    # filter_kills builds QR classes up to 97 only; a QR class never drops a
-    # square discriminant, so the pairs are those every class would leave
+    # heuristic_pairs scans nothing of its own: it filters the sound answer.
+    # Every pair's u lies in the paper's interval and a QR class never drops
+    # a square discriminant, so its pairs are those a whole-interval scan
+    # with the skips and every QR class would leave, in the same order
     for n in range(1, 700):
         t = quadform.make_target(n)
         primes = quadform.default_filter_primes(t, 2000)
-        got = quadform.sieve_enumerate(t, primes, True, want_all=True)
+        got = quadform.heuristic_pairs(t, primes, want_all=True)
         assert got == _every_qr_class_scan(t, primes, True), n
     for n in (3001, 3013):
         t = quadform.make_target(n)
         for bound in (5000, 20000):
             primes = quadform.default_filter_primes(t, bound)
-            assert quadform.sieve_enumerate(t, primes, True) == _every_qr_class_scan(t, primes, False)
+            assert quadform.heuristic_pairs(t, primes) == _every_qr_class_scan(t, primes, False)
 
 
 def test_heuristic_filters_at_a_large_prime_bound_finish_quickly(capsys):
@@ -320,7 +323,7 @@ def test_each_class_reaches_the_kernel_once(monkeypatch):
     t = quadform.make_target(3001)  # N = 36024005 = 5 * 7204801
     primes = quadform.default_filter_primes(t)
     quadform.sieve_enumerate(t, primes)
-    filters = quadform.filter_kills(t, primes, False)
+    filters = quadform.filter_kills(t, primes)
     step, offset = quadform.CENTER_STEP, t.offset
     screens = arith.nonsquare_classes(t.N, step, offset)
     assert filters == arith.nonsquare_classes(t.N, step, offset, [p for p in primes if p > 37])
