@@ -342,16 +342,20 @@ def is_prime(x: int) -> bool:
     return all(_is_strong_probable_prime(x, a, d, s) for a in witnesses)
 
 
-#: Largest prime bound the toolkit takes: the CLI refuses a larger
-#: --prime-bound or --prime, and audit.verify_violation a record whose
-#: modulus is larger.  It caps primes_up_to's sieve, a byte per integer, at
-#: 1 MiB, but not the mask building of the audit's E4/O4, which grows with
-#: the sum of the primes up to it.
+#: Largest prime bound the toolkit takes: primes_up_to refuses a larger
+#: bound before it builds its sieve, a byte per integer, so the sieve stays
+#: within 1 MiB; the CLI refuses a larger --prime-bound or --prime first,
+#: and audit.verify_violation a record whose modulus is larger.  It does
+#: not cap the mask building of the audit's E4/O4, which grows with the sum
+#: of the primes up to it.
 PRIME_BOUND_MAX = 1 << 20
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending (sieve of Eratosthenes)."""
+    """All primes <= bound, ascending (sieve of Eratosthenes); ValueError
+    for a bound past PRIME_BOUND_MAX."""
+    if bound > PRIME_BOUND_MAX:
+        raise ValueError(f"prime bound {bound} is past PRIME_BOUND_MAX = {PRIME_BOUND_MAX}")
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)

@@ -3,9 +3,10 @@
 The auditor never trusts the sieve.  Ground truth comes from plain trial
 division; witness indices are recovered from the factor pairs themselves;
 and every congruence claim about those indices is checked instance by
-instance, producing a counterexample ledger.  ``verify_violation`` checks
-each recorded violation again from scratch before the ledger is written;
-no command reads a ledger back.
+instance, producing a counterexample ledger.  Before ``audit_claims`` or
+``audit_fermat`` returns, ``verify_violation`` checks every violation it
+recorded again from scratch, and one that does not reproduce raises
+ArithmeticError; no command reads a ledger back.
 
 Claim identifiers, one per auditable statement and per entry of ``CLAIMS``:
 
@@ -157,7 +158,7 @@ class _Generator:
     def __init__(self, n: int):
         self.t = quadform.make_target(n)
         self.n, self.N = n, self.t.N
-        self.family = "even" if self.t.offset == 1 else "odd"
+        self.family = self.t.parity
         self._masks = None, []  # (moduli, the mask of each) last looked up
 
     @cached_property
@@ -297,24 +298,12 @@ def _s_of_pair(x, a, b):
     return (a - 1) // x.t.divisor_step
 
 
-class _Primes(NamedTuple):
-    """The odd primes up to an audit's bound, and those = 3 mod 4 among
-    them, picked once per audit call."""
-
-    odd: list[int]
-    three_mod_4: list[int]
+def _p_3mod4(x, odd_primes):
+    return [p for p in odd_primes if p % 4 == 3]
 
 
-def _primes(odd) -> _Primes:
-    return _Primes(odd, [p for p in odd if p % 4 == 3])
-
-
-def _p_3mod4(x, primes):
-    return primes.three_mod_4
-
-
-def _p_coprime(x, primes):
-    return [p for p in primes.odd if x.N % p]
+def _p_coprime(x, odd_primes):
+    return [p for p in odd_primes if x.N % p]
 
 
 _WITH_3MOD4 = " with {p} = 3 (mod 4)"
@@ -327,9 +316,9 @@ class Claim(NamedTuple):
     moduli and gives [(modulus, detail), ...] for the instances that fail,
     in the order given.  index(target, a, b) is the index pair (a, b) is
     recorded under (u, lam or s); None marks a claim made once per target,
-    which replays from n alone.  moduli lists the moduli checked per pair
-    ((None,): none), or is a function (target, primes) picking them from
-    the _Primes of the audit's bound.
+    whose recorded index is not replayed.  moduli lists the moduli checked
+    per pair ((None,): none), or is a function (target, odd_primes) picking
+    them from the odd primes up to the audit's bound, ascending.
     """
 
     id: str
@@ -406,13 +395,18 @@ def _audit(family, claims, targets, prime_bound, notes) -> list[ClaimReport]:
     a claim made once per target), its moduli picked once per target.  A
     claim nobody selected costs nothing.  The range text joins notes once
     the targets are consumed, so a target generator may still append to it.
+
+    Once the targets are consumed, not as each violation is recorded,
+    verify_violation replays every recorded violation in report order, as
+    a caller would replay the returned ledger; the first that does not
+    reproduce raises ArithmeticError, and no report is returned.
     """
     selected = family if claims is None else frozenset(claims)
     foreign = selected - family
     if foreign:
         kind = "generator" if family is QUAD_CLAIMS else "Fermat"
         raise ValueError(f"not {kind} claims: {sorted(c.value for c in foreign)}")
-    primes = _primes([p for p in arith.primes_up_to(prime_bound) if p != 2])
+    odd_primes = arith.primes_up_to(prime_bound)[1:]
     chosen = [c for c in CLAIMS if c.id in selected]
     tallies = {c.id: [0, []] for c in chosen}
     for x in targets:
@@ -422,7 +416,7 @@ def _audit(family, claims, targets, prime_bound, notes) -> list[ClaimReport]:
                 continue
             if c.index not in indices:
                 indices[c.index] = [c.index(x, *pair) for pair in x.pairs]
-            moduli = c.moduli(x, primes) if callable(c.moduli) else c.moduli
+            moduli = c.moduli(x, odd_primes) if callable(c.moduli) else c.moduli
             pairs = x.pairs if c.index else [None]
             tallies[c.id][0] += len(pairs) * len(moduli)
             for pair, u in zip(pairs, indices[c.index]):
@@ -430,6 +424,12 @@ def _audit(family, claims, targets, prime_bound, notes) -> list[ClaimReport]:
                     record = (pair, u) if pair else x.target_record()
                     tallies[c.id][1].append(Violation(x.n, x.N, *record, p, detail))
     range_desc = "; ".join(notes)
+    for i, (_, violations) in tallies.items():
+        for v in violations:
+            if not verify_violation(ClaimId(i), v):
+                raise ArithmeticError(
+                    f"recorded violation failed re-verification ({i}: n={v.n}, detail={v.detail})"
+                )
     return [ClaimReport(ClaimId(i), range_desc, *tally) for i, tally in tallies.items()]
 
 
@@ -527,11 +527,12 @@ def audit_fermat(indices, prime_bound: int = 97, claims=None) -> list[ClaimRepor
 def verify_violation(claim: ClaimId, v: Violation) -> bool:
     """Replay a recorded violation from scratch; True when it reproduces.
 
-    The target is rebuilt from v.n and must have N = v.N.  Unless the claim
-    is made once per target, the index re-derived from v.pair must equal
-    v.u, and v.modulus must be one the claim is checked at: a fixed modulus
-    of the claim, or an odd prime its moduli function picks from
-    _primes([v.modulus]).  Then the claim's own predicate judges the
+    One rule holds for every claim: the target is rebuilt from v.n and must
+    have N = v.N, v.pair must multiply to N, and v.modulus must be one the
+    claim is checked at: a fixed modulus of the claim (for a claim made once
+    per target, only None), or an odd prime its moduli function picks from
+    [v.modulus].  Only a claim checked per pair re-derives its index from
+    v.pair, which must equal v.u.  Then the claim's own predicate judges the
     instance, called with the one modulus (v.modulus,); a violation that
     does not reproduce means the ledger itself is corrupt.  A modulus past
     arith.PRIME_BOUND_MAX, the cap on the audit's own prime bound, gives
@@ -549,16 +550,13 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
             x = _Fermat(t, t.value, v.pair)
         else:
             x = _Generator(v.n)
-        if x.family != c.family or x.N != v.N:
+        if x.family != c.family or x.N != v.N or a * b != x.N:
             return False
-        if c.index is not None:
-            if a * b != x.N or c.index(x, a, b) != v.u:
-                return False
-            prime = callable(c.moduli) and p is not None and p > 2 and arith.is_prime(p)
-            allowed = c.moduli(x, _primes([p] if prime else [])) if callable(c.moduli) else c.moduli
-            if p not in allowed:
-                return False
-        return c.applies(x) and bool(c.violated(x, v.u, (p,)))
+        if c.index is not None and c.index(x, a, b) != v.u:
+            return False
+        prime = callable(c.moduli) and p is not None and p > 2 and arith.is_prime(p)
+        allowed = c.moduli(x, [p] if prime else []) if callable(c.moduli) else c.moduli
+        return p in allowed and c.applies(x) and bool(c.violated(x, v.u, (p,)))
     except (TypeError, ValueError, ArithmeticError):
         return False
 

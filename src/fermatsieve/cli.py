@@ -10,8 +10,9 @@ exhausted), 2 invalid input, 3 internal inconsistency.  A command returns
 0 or 1 and reports anything else by raising: a ValueError (a refused
 argument, an unwritable output path, a value too large to print) and an
 ArithmeticError (an internal error, such as quadform.derive_u or
-fermat_numbers.lambda_of_pair finding a pair off its progression, or an
-audit violation that fails re-verification).  main alone turns the first
+fermat_numbers.lambda_of_pair finding a pair off its progression, or
+audit.audit_claims or audit.audit_fermat finding that a violation it
+recorded fails re-verification).  main alone turns the first
 into exit 2 with one "error: MSG" line on stderr, and the second into
 exit 3 with one "internal inconsistency: MSG" line.  Human-readable text
 goes to stdout, diagnostics to stderr; --json output and report files are
@@ -302,14 +303,6 @@ def cmd_audit(args) -> int:
     if fermat_claims:
         reports.extend(audit.audit_fermat(fermat_indices, args.prime_bound, fermat_claims))
 
-    for r in reports:
-        for v in r.violations:
-            if not audit.verify_violation(r.claim, v):
-                raise ArithmeticError(
-                    "recorded violation failed re-verification "
-                    f"({r.claim.value}: n={v.n}, detail={v.detail})"
-                )
-
     if args.json:
         parameters = {
             "range": f"{lo}:{hi}",
@@ -331,20 +324,17 @@ def cmd_fermat(args) -> int:
     if args.budget < 0:
         raise ValueError("--budget must be >= 0")
     t = fermat_numbers.make_fermat(args.index)
+    name = f"F_{args.index}"
     if args.mode == "lucas":
         hits = fermat_numbers.lucas_search(t, args.budget)
+        results = {"divisors": [{"s": h.s, "divisor": h.divisor} for h in hits]}
+        lines = [f"s={h.s} divisor={h.divisor} divides {name}" for h in hits] or [
+            f"no divisor of {name} with s <= {args.budget}"
+        ]
     else:
         outcome = fermat_numbers.lambda_search(t, args.budget, args.filters == "on")
         hits = outcome.hits
-    name = f"F_{args.index}"
-    results = {"F": t.value if args.index <= JSON_F_MAX_INDEX else None}
-    if args.mode == "lucas":
-        results["divisors"] = [{"s": h.s, "divisor": h.divisor} for h in hits]
-        lines = [
-            f"s={h['s']} divisor={h['divisor']} divides {name}" for h in results["divisors"]
-        ] or [f"no divisor of {name} with s <= {args.budget}"]
-    else:
-        results.update(
+        results = dict(
             exhausted=outcome.exhausted,
             examined=outcome.examined,
             skipped=outcome.skipped,
@@ -362,6 +352,7 @@ def cmd_fermat(args) -> int:
             "lambda={} center={}: {} = {} * {}".format(h["lambda"], h["center"], name, *h["pair"])
             for h in results["hits"]
         ] or [f"no factor pair found ({tail})"]
+    results["F"] = t.value if args.index <= JSON_F_MAX_INDEX else None
     parameters = {key: getattr(args, key) for key in ("index", "mode", "budget", "filters")}
     _emit(args, "fermat", parameters, results, lines)
     return EXIT_FOUND if hits else EXIT_NEGATIVE

@@ -238,6 +238,26 @@ def test_every_violation_reverifies():
     assert total > 0  # the range does contain counterexamples
 
 
+def test_audit_raises_when_a_violation_fails_replay(monkeypatch):
+    # the audit replays its own ledger before it returns, for any caller
+    monkeypatch.setattr(audit, "verify_violation", lambda claim, v: False)
+    with pytest.raises(ArithmeticError, match="re-verification") as info:
+        audit.audit_claims(1, 50, {ClaimId.O3})
+    assert "O3" in str(info.value)
+
+
+def test_per_target_record_replays_by_the_pair_and_modulus_rule(monkeypatch):
+    # L1 is made once per target, yet its record's pair must still multiply
+    # to N and its modulus must be None, the only one it is checked at
+    monkeypatch.setattr(audit, "l1_witness", lambda t: None)
+    (report,) = audit.audit_claims(4, 4, {ClaimId.L1})
+    (v,) = report.violations
+    assert (v.pair, v.u, v.modulus) == ((5, 13), 1, None)
+    assert audit.verify_violation(ClaimId.L1, v)
+    assert not audit.verify_violation(ClaimId.L1, v._replace(modulus=5))
+    assert not audit.verify_violation(ClaimId.L1, v._replace(pair=(5, 14)))
+
+
 @pytest.fixture(scope="module")
 def small_ledger():
     """Violations of the audits over n <= 100 and F_5, F_6, by claim."""
@@ -335,7 +355,7 @@ def _reference_audit(targets, claims, odd_primes):
                 continue
             moduli = c.moduli
             if callable(moduli):  # picked one prime at a time
-                moduli = [p for p in odd_primes if c.moduli(x, audit._primes([p])) == [p]]
+                moduli = [p for p in odd_primes if c.moduli(x, [p]) == [p]]
             for pair in x.pairs if c.index else [None]:
                 index = c.index(x, *pair) if pair else None
                 for p in moduli:
@@ -493,6 +513,20 @@ def test_replay_refuses_a_modulus_past_the_prime_bound_cap(claim, record):
     assert audit._admissible_mask.cache_info().currsize == before
 
 
+def test_prime_bounds_past_the_cap_are_refused_before_any_sieve():
+    bound = arith.PRIME_BOUND_MAX + 1
+    refusals = [
+        lambda: arith.primes_up_to(bound),
+        lambda: audit.audit_claims(1, 1, prime_bound=bound),
+        lambda: audit.audit_fermat([5], prime_bound=bound),
+        lambda: quadform.default_filter_primes(quadform.make_target(4), bound),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=f"past PRIME_BOUND_MAX = {arith.PRIME_BOUND_MAX}"):
+            refuse()
+    assert len(arith.primes_up_to(arith.PRIME_BOUND_MAX)) == 82025
+
+
 def test_audit_determinism():
     one = audit.audit_claims(1, 150, None, 97)
     two = audit.audit_claims(1, 150, None, 97)
@@ -583,7 +617,7 @@ def test_audit_fermat_refuses_indices_past_the_cap(monkeypatch, indices):
 def _flagged(claim_id, x, index, odd_primes):
     """Whether the claim flags the index at any modulus it is checked at."""
     c = audit._BY_ID[claim_id]
-    moduli = c.moduli(x, audit._primes(odd_primes)) if callable(c.moduli) else c.moduli
+    moduli = c.moduli(x, odd_primes) if callable(c.moduli) else c.moduli
     return bool(c.violated(x, index, moduli))
 
 
