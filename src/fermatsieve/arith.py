@@ -16,7 +16,6 @@ __all__ = [
     "kill_class",
     "nonsquare_classes",
     "sieve_progression",
-    "sieve_count",
     "square_centers",
     "mod_inv",
     "PRIME_TEST_EXACT_BELOW",
@@ -101,7 +100,8 @@ def kill_class(q: int, residues) -> tuple[int, int]:
 
     Bit r of alive is set when u = r (mod q) survives; residues may lie
     outside [0, q) and are taken mod q.  This and nonsquare_classes build
-    the classes sieve_progression and sieve_count take.
+    the classes sieve_progression and square_centers take; square_centers'
+    count record says how many u a scan's own classes keep.
     """
     if q < 1:
         raise ValueError("kill class modulus must be >= 1")
@@ -192,28 +192,47 @@ def _first_tile(q: int, alive: int) -> tuple[int, int]:
     return _tile(alive, q, q, _BLOCK_FIRST + q - 1)
 
 
-def _blocks(start: int, stop: int, kills):
-    """Yield (block start, block) over [start, stop), ascending: bit i of
-    the int block is set when block start + i survives every class.
+def sieve_progression(start: int, stop: int, kills=(), counts=None, own=0):
+    """Yield every u in [start, stop), ascending, outside all kill classes.
 
-    Each class gets a tile, one period long until a block first reaches
-    it.  Then a class with q <= _BLOCK_FIRST takes its first-block tile
-    from _first_tile, an lru_cache of 256 classes keyed by (q, alive),
-    whatever the length of the range; for a larger q the tile is doubled
-    as far as the block needs.  Tiles grow per call as later blocks need,
-    and a block that no u survives skips the classes after it.  A class with
-    q < 1 or alive bits past its period is rejected, on an empty range too.
+    kills holds classes (q, alive) from kill_class or nonsquare_classes:
+    u is dropped when bit u mod q of alive is clear.  The range is sieved
+    in bit-packed blocks, bit i of the int block standing for
+    u = block start + i.  Each class gets a tile, one period long until a block
+    first reaches it.  Then a class with q <= _BLOCK_FIRST takes its
+    first-block tile from _first_tile, an lru_cache of 256 classes keyed by
+    (q, alive), whatever the length of the range; for a larger q the tile
+    is doubled as far as the block needs.  Tiles grow per call as later
+    blocks need.  A block is the AND of the tiles shifted to its start, in
+    the order given, up to the first class that leaves it empty.  A class
+    with q < 1 or alive bits past its period is rejected, on an empty range
+    too.
+
+    The survivors are read back in C: the block's bytes are translated to
+    flag the nonzero ones, bytes.find walks those, and a table lists the
+    set bits of each.
+
+    counts, when given, is square_centers' count record, whose entries are
+    set to 0 first: counts["kept"] gains the int.bit_count of each block
+    after the first own classes of kills, and counts["tested"] gains 1 for
+    each u as it is yielded.
     """
     tiles = []
     for q, alive in kills:
         if q < 1 or alive < 0 or alive >> q:
             raise ValueError("a kill class is (period >= 1, alive bits below the period)")
         tiles.append([q, alive, q])
+    if counts is not None:
+        counts.update(kept=0, tested=0)
+        tiles.insert(own, None)  # where the kept u are counted
     size = _BLOCK_FIRST
     while start < stop:
         length = min(size, stop - start)
         block = (1 << length) - 1
         for tile in tiles:
+            if tile is None:
+                counts["kept"] += block.bit_count()
+                continue
             q, bits, width = tile
             if width < length + q - 1:  # the bits a shift by start % q reaches
                 if width == q <= _BLOCK_FIRST:  # first reached
@@ -223,43 +242,21 @@ def _blocks(start: int, stop: int, kills):
             block &= bits >> (start % q)
             if not block:
                 break  # every u is dropped: the other classes can add nothing
-        yield start, block
-        start += length
-        size = min(2 * size, _BLOCK_CAP)
-
-
-def sieve_progression(start: int, stop: int, kills=()):
-    """Yield every u in [start, stop), ascending, outside all kill classes.
-
-    kills holds classes (q, alive) from kill_class or nonsquare_classes:
-    u is dropped when bit u mod q of alive is clear.  The range is sieved
-    in bit-packed blocks, bit i standing for u = block start + i.  Each
-    class's pattern is tiled by doubling to cover a block plus q bits when
-    a block first reaches it, from the lru_cache _first_tile when
-    q <= _BLOCK_FIRST, and a block is the AND of the tiles shifted to its
-    start, in the order given, up to the first class that leaves it empty.
-    The survivors are read back in C: the block's bytes are translated to
-    flag the nonzero ones, bytes.find walks those, and a table lists the
-    set bits of each.
-    """
-    for block_start, block in _blocks(start, stop, kills):
         data = block.to_bytes((block.bit_length() + 7) // 8, "little")
         flags = data.translate(_NONZERO)
         i = flags.find(1)
         while i >= 0:
-            base = block_start + 8 * i
+            base = start + 8 * i
             for bit in _SET_BITS[data[i]]:
+                if counts is not None:
+                    counts["tested"] += 1
                 yield base + bit
             i = flags.find(1, i + 1)
+        start += length
+        size = min(2 * size, _BLOCK_CAP)
 
 
-def sieve_count(start: int, stop: int, kills=()) -> int:
-    """len(list(sieve_progression(start, stop, kills))), without the list:
-    the survivors are counted per block with int.bit_count."""
-    return sum(block.bit_count() for _, block in _blocks(start, stop, kills))
-
-
-def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=()):
+def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=(), counts=None):
     """Yield (u, r) for every u in [start, stop), ascending, outside kills,
     whose center c = step*u + offset gives c^2 - N = r^2 with c - r > 1.
 
@@ -270,8 +267,16 @@ def square_centers(N: int, step: int, offset: int, start: int, stop: int, kills=
     squares.  A caller's class that a screen implies is not worth passing:
     quadform.filter_kills builds no QR class for a prime that divides a
     screen modulus.
+
+    counts, when given, is a dict the scan fills as it runs, so a caller
+    learns what the scan did from the scan itself: counts["kept"] is the
+    number of u in [start, stop) that kills leave, before the screens,
+    summed a block at a time and exact once the scan reaches stop;
+    counts["tested"] is the number of u that reached the exact square
+    test, counted one by one up to the last one the caller consumed.
     """
-    for u in sieve_progression(start, stop, [*kills, *nonsquare_classes(N, step, offset)]):
+    classes = [*kills, *nonsquare_classes(N, step, offset)]
+    for u in sieve_progression(start, stop, classes, counts, len(kills)):
         c = step * u + offset
         r = is_perfect_square(c * c - N)
         if r is not None and c - r > 1:

@@ -298,12 +298,13 @@ def _s_of_pair(x, a, b):
     return (a - 1) // x.t.divisor_step
 
 
-def _p_3mod4(x, odd_primes):
-    return [p for p in odd_primes if p % 4 == 3]
+def _p_3mod4(odd_primes):
+    picked = [p for p in odd_primes if p % 4 == 3]
+    return lambda x: picked
 
 
-def _p_coprime(x, odd_primes):
-    return [p for p in odd_primes if x.N % p]
+def _p_coprime(odd_primes):
+    return lambda x: [p for p in odd_primes if x.N % p]
 
 
 _WITH_3MOD4 = " with {p} = 3 (mod 4)"
@@ -317,8 +318,10 @@ class Claim(NamedTuple):
     in the order given.  index(target, a, b) is the index pair (a, b) is
     recorded under (u, lam or s); None marks a claim made once per target,
     whose recorded index is not replayed.  moduli lists the moduli checked
-    per pair ((None,): none), or is a function (target, odd_primes) picking
-    them from the odd primes up to the audit's bound, ascending.
+    per pair ((None,): none), or is a function of the odd primes up to the
+    audit's bound, ascending, called once per audit: it picks what does not
+    depend on the target and returns a function of the target that gives
+    the moduli checked on it.
     """
 
     id: str
@@ -392,9 +395,11 @@ def _audit(family, claims, targets, prime_bound, notes) -> list[ClaimReport]:
     Every instance of a selected claim is counted and judged on each target
     of the claim's family whose side condition holds: the predicate is
     called once per pair with all of the pair's moduli (once per target for
-    a claim made once per target), its moduli picked once per target.  A
-    claim nobody selected costs nothing.  The range text joins notes once
-    the targets are consumed, so a target generator may still append to it.
+    a claim made once per target).  A moduli function picks from the odd
+    primes once per audit, and what it returns gives the moduli of each
+    target (Claim).  A claim nobody selected costs nothing.  The range text
+    joins notes once the targets are consumed, so a target generator may
+    still append to it.
 
     Once the targets are consumed, not as each violation is recorded,
     verify_violation replays every recorded violation in report order, as
@@ -408,6 +413,7 @@ def _audit(family, claims, targets, prime_bound, notes) -> list[ClaimReport]:
         raise ValueError(f"not {kind} claims: {sorted(c.value for c in foreign)}")
     odd_primes = arith.primes_up_to(prime_bound)[1:]
     chosen = [c for c in CLAIMS if c.id in selected]
+    picks = {c.id: c.moduli(odd_primes) for c in chosen if callable(c.moduli)}
     tallies = {c.id: [0, []] for c in chosen}
     for x in targets:
         indices = {None: [None]}  # index function -> the index of each pair
@@ -416,7 +422,7 @@ def _audit(family, claims, targets, prime_bound, notes) -> list[ClaimReport]:
                 continue
             if c.index not in indices:
                 indices[c.index] = [c.index(x, *pair) for pair in x.pairs]
-            moduli = c.moduli(x, odd_primes) if callable(c.moduli) else c.moduli
+            moduli = picks[c.id](x) if c.id in picks else c.moduli
             pairs = x.pairs if c.index else [None]
             tallies[c.id][0] += len(pairs) * len(moduli)
             for pair, u in zip(pairs, indices[c.index]):
@@ -555,7 +561,7 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
         if c.index is not None and c.index(x, a, b) != v.u:
             return False
         prime = callable(c.moduli) and p is not None and p > 2 and arith.is_prime(p)
-        allowed = c.moduli(x, [p] if prime else []) if callable(c.moduli) else c.moduli
+        allowed = c.moduli([p] if prime else [])(x) if callable(c.moduli) else c.moduli
         return p in allowed and c.applies(x) and bool(c.violated(x, v.u, (p,)))
     except (TypeError, ValueError, ArithmeticError):
         return False

@@ -4,18 +4,18 @@ Each strategy times one call: a trial-division loop, fermat_factor, or
 for the QuadInterval strategies sieve_enumerate, the paper's scan:
 QuadInterval makes factor's call on a hard case (quadform.factor_pairs),
 and QuadIntervalQRFiltered adds the QR classes of the odd primes up to 97.
-Candidate counts are exact, deterministic and counted outside the timed
-calls, from the last call's result; wall times are median-of-k on a
-monotonic clock and are reported, never asserted.  A candidate is
-whatever a strategy pays for: a trial divisor, a center of the plain
-scan up to its hit or its budget, or a sieve index that
-survives the residue filters and the square screens and so reaches the
-exact square test, up to the first pair or the end of the sieve's scan.
-The sieve's scan stops at the trial-division crossover
-(quadform.search_bounds), and the trial divisions past it are not
-counted.  The paper's heuristic skips are no strategy: they prune no
-scan, and factor --heuristic-filters drops their pairs from its sound
-answer (quadform.heuristic_pairs).
+Candidate counts are exact and deterministic, and come from the last
+timed call: from its result, or for the QuadInterval strategies from the
+count record that the call's own scan fills (arith.square_centers); wall
+times are median-of-k on a monotonic clock and are reported, never
+asserted.  A candidate is whatever a strategy pays for: a trial divisor,
+a center of the plain scan up to its hit or its budget, or a sieve index
+that survives the residue filters and the square screens and so reaches
+the exact square test, up to the first pair or the end of the sieve's
+scan.  The sieve's scan stops at the trial-division crossover, and the
+trial divisions past it are not counted.  The paper's heuristic skips
+are no strategy: they prune no scan, and factor --heuristic-filters
+drops their pairs from its sound answer (quadform.heuristic_pairs).
 """
 
 import enum
@@ -79,19 +79,12 @@ def _measure(strategy: Strategy, t: quadform.QuadTarget):
 
         return lambda: fermat_generic.fermat_factor(t.N, _PLAIN_FERMAT_BUDGET), centers
     primes = () if strategy is Strategy.QUAD_INTERVAL else quadform.default_filter_primes(t)
+    counts = {}  # the scan's count record, refilled by each timed call
 
-    def survivors(pairs):
-        # the u that reach the square test, those the filter classes and the
-        # square screens leave, from u_min through the first pair's witness u
-        # or through the end of the scan when that comes first
-        span, _ = quadform.search_bounds(t)
-        stop = min(span.stop, pairs[0].witness_u + 1) if pairs else span.stop
-        kills = quadform.filter_kills(t, primes)
-        screened = [*kills, *arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)]
-        count = arith.sieve_count(span.start, stop, screened)
-        return count, (pairs[0].a, pairs[0].b) if pairs else None
+    def tested(pairs):
+        return counts["tested"], (pairs[0].a, pairs[0].b) if pairs else None
 
-    return lambda: quadform.sieve_enumerate(t, primes), survivors
+    return lambda: quadform.sieve_enumerate(t, primes, counts=counts), tested
 
 
 def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:

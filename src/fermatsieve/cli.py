@@ -10,7 +10,8 @@ exhausted), 2 invalid input, 3 internal inconsistency.  A command returns
 0 or 1 and reports anything else by raising: a ValueError (a refused
 argument, an unwritable output path, a value too large to print) and an
 ArithmeticError (an internal error, such as quadform.derive_u or
-fermat_numbers.lambda_of_pair finding a pair off its progression, or
+fermat_numbers.lambda_of_pair finding a pair off its progression,
+fermat_numbers.lambda_search a square root that does not split F_n, or
 audit.audit_claims or audit.audit_fermat finding that a violation it
 recorded fails re-verification).  main alone turns the first
 into exit 2 with one "error: MSG" line on stderr, and the second into

@@ -202,6 +202,8 @@ def lambda_search(t: FermatTarget, lam_budget: int, filters: bool = False) -> La
     the searched hit set on F_5 is known to be filter-independent.
     The index must lie in [5, LAMBDA_MAX_INDEX]; the upper bound is
     checked first, before lambda_interval builds bounds of about 2^n bits.
+    examined and skipped come from the scan's own count record; a hit whose
+    root does not split F_n raises ArithmeticError.
     """
     if t.index_n > LAMBDA_MAX_INDEX:
         raise ValueError(f"center search is bounded to index <= {LAMBDA_MAX_INDEX}")
@@ -215,15 +217,14 @@ def lambda_search(t: FermatTarget, lam_budget: int, filters: bool = False) -> La
         kills += [arith.kill_class(p, (0,)) for p in arith.primes_up_to(97) if p % 4 == 3]
     F = t.value
     hits = []
-    for lam, root in arith.square_centers(F, t.center_step, 1, lam_min, stop, kills):
+    counts = {}
+    for lam, root in arith.square_centers(F, t.center_step, 1, lam_min, stop, kills, counts):
         center = t.center_step * lam + 1
-        assert (center - root) * (center + root) == F
+        if (center - root) * (center + root) != F:
+            raise ArithmeticError(f"the square root at lam={lam} does not split F_{t.index_n}")
         hits.append(LambdaCandidate(lam=lam, center=center, disc=root * root, root=root))
-    examined = arith.sieve_count(lam_min, stop, kills)
-    skipped = len(range(lam_min, stop)) - examined
-    return LambdaSearchResult(
-        hits=hits, exhausted=stop < lam_sup, examined=examined, skipped=skipped
-    )
+    examined = counts["kept"]
+    return LambdaSearchResult(hits, stop < lam_sup, examined, stop - lam_min - examined)
 
 
 def lambda_of_pair(t: FermatTarget, p: int, q: int) -> int:

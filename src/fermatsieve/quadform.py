@@ -48,7 +48,6 @@ __all__ = [
     "admissible_residues_qr",
     "default_filter_primes",
     "filter_kills",
-    "search_bounds",
     "sieve_enumerate",
     "factor_pairs",
     "heuristic_pairs",
@@ -241,26 +240,17 @@ def _pair(t: QuadTarget, a: int) -> FactorPair:
 _CROSSOVER_DIVISOR = 4
 
 
-def search_bounds(t: QuadTarget) -> tuple[range, int]:
-    """(the u that sieve_enumerate scans, its trial-division bound B).
-
-    B = isqrt(N) // _CROSSOVER_DIVISOR, and the scan ends at the (B+1)
-    split's center or at the end of the paper's interval, whichever comes
-    first.
-    """
-    B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
-    return _to_split(t, B + 1), B
-
-
-def sieve_enumerate(t: QuadTarget, filter_primes=(), want_all: bool = False) -> list[FactorPair]:
+def sieve_enumerate(
+    t: QuadTarget, filter_primes=(), want_all: bool = False, counts=None
+) -> list[FactorPair]:
     """Search for the proper factor pairs of N.
 
     Every proper factor is 1 mod 4, so trial division by a = 1 mod 4 with
     5 <= a <= B = isqrt(N) // 4 finds every pair with a <= B.  For
     a <= sqrt(N) the center (a + N/a) / 2 falls as a grows, so every other
     pair has its center at or below that of the (B+1, N/(B+1)) split, and
-    the u scan stops there instead of at the end of the paper's interval
-    (search_bounds).
+    the u scan stops there or at the end of the paper's interval, whichever
+    comes first.
 
     u is scanned ascending, pruned by filter_kills' QR residue classes of
     the filter primes and by the square screens, and each square
@@ -273,12 +263,15 @@ def sieve_enumerate(t: QuadTarget, filter_primes=(), want_all: bool = False) -> 
     set.  The factor gap d grows with u, so the first pair (smallest u) is
     always the most balanced split.  An empty list means no divisor up to
     B and no witness up to the (B+1) split's center, which certifies N
-    prime.
+    prime.  counts, when given, is passed to the scan's
+    arith.square_centers as its count record.
     """
-    span, B = search_bounds(t)
+    B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
+    span = _to_split(t, B + 1)
     kills = filter_kills(t, filter_primes)
     found: list[FactorPair] = []
-    for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop, kills):
+    scan = arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop, kills, counts)
+    for u, _ in scan:
         found.append(pair_from_candidate(t, try_candidate(t, u)))
         if not want_all:
             return found

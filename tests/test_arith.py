@@ -241,11 +241,22 @@ def test_sieve_progression_matches_predicate_past_the_block_cap(
     assert got == _survivors(start, stop, kills)
 
 
+def _record(start, stop, classes):
+    """The count record of a square_centers scan over the plain c walk of
+    F_5, run to stop."""
+    counts = {}
+    for _ in arith.square_centers(F5, 1, 0, start, stop, classes, counts):
+        pass
+    return counts
+
+
 def _count_matches_walk(start, stop, kills):
     classes = _classes(kills)
-    assert arith.sieve_count(start, stop, classes) == sum(
-        1 for _ in arith.sieve_progression(start, stop, classes)
-    )
+    screened = [*classes, *arith.nonsquare_classes(F5, 1, 0)]
+    assert _record(start, stop, classes) == {
+        "kept": sum(1 for _ in arith.sieve_progression(start, stop, classes)),
+        "tested": sum(1 for _ in arith.sieve_progression(start, stop, screened)),
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,7 +265,7 @@ def _count_matches_walk(start, stop, kills):
     st.integers(min_value=-3, max_value=3 * arith._BLOCK_FIRST + 50),
     _kill_classes,
 )
-def test_sieve_count_matches_walk(start, length, kills):
+def test_kept_count_matches_walk(start, length, kills):
     # empty kills, empty and reversed ranges and AND-ed classes alone
     _count_matches_walk(start, start + length, kills)
 
@@ -266,19 +277,43 @@ def test_sieve_count_matches_walk(start, length, kills):
     _dense_classes,
     _large_classes,
 )
-def test_sieve_count_matches_walk_with_tested_classes(start, length, dense, large):
+def test_kept_count_matches_walk_with_tested_classes(start, length, dense, large):
     # the dense classes leave fewer than 16 u per block, often none, and
     # the classes past _BLOCK_CAP are counted per block like the rest
     _count_matches_walk(start, start + length, [*dense, *large])
 
 
-def test_sieve_count_examples():
-    assert arith.sieve_count(5, 5) == arith.sieve_count(7, 3) == 0
-    assert arith.sieve_count(0, 10) == 10
+def test_kept_count_examples():
+    assert _record(5, 5, [])["kept"] == _record(7, 3, [])["kept"] == 0
+    assert _record(0, 10, [])["kept"] == 10
     kills = [arith.kill_class(4, (2,)), arith.kill_class(3, (0, 2))]
-    assert arith.sieve_count(0, 12, kills) == 3  # 1, 4 and 7
+    assert _record(0, 12, kills)["kept"] == 3  # 1, 4 and 7
     big = arith._BLOCK_CAP + 1  # AND-ed like every class, its tile 2q bits
-    assert arith.sieve_count(0, 3 * big, [arith.kill_class(big, (0,))]) == 3 * big - 3
+    assert _record(0, 3 * big, [arith.kill_class(big, (0,))])["kept"] == 3 * big - 3
+
+
+@pytest.mark.parametrize(
+    "N, step, offset, first, hits",
+    [
+        (4 * 1409**2 + 1, 8, 3, 352, 15),  # 8u + 3, odd generator
+        (4 * 1416**2 + 1, 8, 1, 354, 5),  # 8u + 1, even generator
+        (3 * 5 * 7 * 11 * 13 * 17 * 19, 1, 0, 2203, 56),  # the plain c walk
+        (F5, 1, 0, 1 << 16, 0),
+    ],
+)
+def test_tested_count_stops_at_the_last_u_consumed(N, step, offset, first, hits):
+    # the record counts the u put to the square test up to the hit the
+    # caller took last, and every such u up to stop once the scan ends
+    stop = first + 2 * arith._BLOCK_CAP
+    screened = list(arith.sieve_progression(first, stop, arith.nonsquare_classes(N, step, offset)))
+    counts = {}
+    scan = arith.square_centers(N, step, offset, first, stop, (), counts)
+    taken = 0
+    for u, _ in scan:
+        taken += 1
+        assert counts["tested"] == screened.index(u) + 1
+    assert taken == hits
+    assert counts == {"kept": stop - first, "tested": len(screened)}
 
 
 def test_kill_class_examples():
@@ -331,10 +366,10 @@ def test_sieve_progression_rejects_bad_modulus():
     with pytest.raises(ValueError):
         list(arith.sieve_progression(5, 5, [(0, 1)]))
     with pytest.raises(ValueError):
-        arith.sieve_count(7, 3, [(-1, 0)])
+        _record(7, 3, [(-1, 0)])
     for bad in ((3, 8), (3, -1)):
         with pytest.raises(ValueError):
-            arith.sieve_count(0, 10, [bad])
+            _record(0, 10, [bad])
     # a class that drops nothing leaves every u
     assert list(arith.sieve_progression(0, 3, [arith.kill_class(1, ())])) == [0, 1, 2]
 
@@ -383,7 +418,7 @@ def test_sieve_progression_with_cached_tiles_matches_predicate(start, length, ki
     expected = _survivors(start, stop, kills)
     assert list(arith.sieve_progression(start, stop, _classes(kills))) == expected
     assert list(arith.sieve_progression(start, stop, _classes(kills))) == expected
-    assert arith.sieve_count(start, stop, _classes(kills)) == len(expected)
+    assert _record(start, stop, _classes(kills))["kept"] == len(expected)
 
 
 def test_first_tile_cache_stays_under_its_bounds(monkeypatch):

@@ -355,7 +355,7 @@ def _reference_audit(targets, claims, odd_primes):
                 continue
             moduli = c.moduli
             if callable(moduli):  # picked one prime at a time
-                moduli = [p for p in odd_primes if c.moduli(x, [p]) == [p]]
+                moduli = [p for p in odd_primes if c.moduli([p])(x) == [p]]
             for pair in x.pairs if c.index else [None]:
                 index = c.index(x, *pair) if pair else None
                 for p in moduli:
@@ -614,10 +614,33 @@ def test_audit_fermat_refuses_indices_past_the_cap(monkeypatch, indices):
         audit.audit_fermat(indices)
 
 
+def test_moduli_are_picked_once_per_audit(monkeypatch):
+    # E3/O3/F3 are checked at the odd primes = 3 (mod 4) up to the bound on
+    # every target: each claim's moduli function picks them once per audit,
+    # not once per target, and the reports are those of the table unchanged
+    selected = {ClaimId.E3, ClaimId.O3, ClaimId.E4}
+    expected = audit.audit_claims(1, 60, selected, 211), audit.audit_fermat([5], 211)
+    picks = []
+
+    def counted(moduli):
+        def pick(*args):
+            picks.append(args)
+            return moduli(*args)
+
+        return pick
+
+    claims = [c._replace(moduli=counted(c.moduli)) if callable(c.moduli) else c for c in audit.CLAIMS]
+    monkeypatch.setattr(audit, "CLAIMS", tuple(claims))
+    assert audit.audit_claims(1, 60, selected, 211) == expected[0]
+    assert len(picks) == 3
+    assert audit.audit_fermat([5], 211) == expected[1]
+    assert len(picks) == 4
+
+
 def _flagged(claim_id, x, index, odd_primes):
     """Whether the claim flags the index at any modulus it is checked at."""
     c = audit._BY_ID[claim_id]
-    moduli = c.moduli(x, odd_primes) if callable(c.moduli) else c.moduli
+    moduli = c.moduli(odd_primes)(x) if callable(c.moduli) else c.moduli
     return bool(c.violated(x, index, moduli))
 
 

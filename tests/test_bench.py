@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from fermatsieve import arith, bench, fermat_generic, quadform
+from fermatsieve import bench, fermat_generic, quadform
 from fermatsieve.bench import Strategy
 
 
@@ -57,18 +57,18 @@ def test_sieve_counts_stop_at_the_scan_crossover():
     rows = bench.run_bench(
         [100000], [Strategy.QUAD_INTERVAL, Strategy.QUAD_INTERVAL_QR], repetitions=1
     )
-    span, _ = quadform.search_bounds(quadform.make_target(100000))
-    assert len(span) == 28124
+    counts = {}  # the scan's count record; with no filter primes it keeps every u
+    quadform.sieve_enumerate(quadform.make_target(100000), counts=counts)
+    assert counts == {"kept": 28124, "tested": 7}
     assert [r.candidates_examined for r in rows] == [7, 0]
     assert [r.pair for r in rows] == [(13, 3076923077)] * 2
     # n = 30: the scan visits 7 u, the screens drop all of them, and its
     # witness u = 18 lies past them
     (row,) = bench.run_bench([30], [Strategy.QUAD_INTERVAL], repetitions=1)
-    t = quadform.make_target(30)
-    span, _ = quadform.search_bounds(t)
-    screens = arith.nonsquare_classes(t.N, quadform.CENTER_STEP, t.offset)
-    assert len(span) == 7
-    assert row.candidates_examined == arith.sieve_count(span.start, span.stop, screens) == 0
+    counts = {}
+    quadform.sieve_enumerate(quadform.make_target(30), counts=counts)
+    assert counts == {"kept": 7, "tested": 0}
+    assert row.candidates_examined == 0
     assert row.pair == (13, 277)
 
 

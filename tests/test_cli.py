@@ -227,6 +227,25 @@ def _capped_factor(*argv):
     return done.returncode, done.stdout
 
 
+def test_main_runs_clean_after_a_usage_error_and_a_refusal(capsys):
+    # one process, three calls: an argparse error, a library refusal and a
+    # run; the run gives the exit code and bytes of a fresh process
+    assert run(capsys, "factor", "--n", "x")[:2] == (2, "")
+    assert run(capsys, "fermat", "--index", "31", "--mode", "lucas")[:2] == (2, "")
+    rc, out, err = run(capsys, "factor", "--n", "4000", "--json")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "fermatsieve.cli", "factor", "--n", "4000", "--json"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out, "")
+    assert json.loads(out)["results"]["verdict"] == "composite"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -319,9 +338,9 @@ def test_factor_hard_case_scans_with_the_screens_alone(monkeypatch, capsys):
     reached = []
     kernel = arith.sieve_progression
 
-    def recorded(start, stop, kills=()):
+    def recorded(start, stop, kills=(), *rest):
         reached.append(list(kills))
-        return kernel(start, stop, kills)
+        return kernel(start, stop, kills, *rest)
 
     monkeypatch.setattr(quadform, "default_filter_primes", no_filter_primes)
     monkeypatch.setattr(arith, "sieve_progression", recorded)
@@ -779,7 +798,6 @@ def test_library_refusals_exit_2_before_any_work(monkeypatch, capsys, argv, says
 
     for module, name in [
         (arith, "square_centers"),  # the center scans of lambda_search and fermat_factor
-        (arith, "sieve_count"),
         (arith, "mod_inv"),  # the sweep of admissible_residues_parametric
         (arith, "nonsquare_classes"),  # that of admissible_residues_qr
         (bench, "_measure"),

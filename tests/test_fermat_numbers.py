@@ -5,6 +5,7 @@ workhorses; both factorizations are re-derived here by search and by
 direct big-integer arithmetic, never assumed.
 """
 
+import math
 import tracemalloc
 
 import pytest
@@ -192,6 +193,20 @@ def test_lambda_search_filters_do_not_change_f5():
     assert [h.lam for h in plain.hits] == [h.lam for h in filtered.hits] == [409]
     assert filtered.skipped > 0
     assert filtered.examined + filtered.skipped == plain.examined
+
+
+def test_lambda_search_raises_on_a_root_that_does_not_split(monkeypatch, capsys):
+    # the check of each hit is no assert, which python -O would strip: a
+    # square test that hands back a wrong root is an internal error, and
+    # the fermat command exits 3 on it
+    from fermatsieve import cli
+
+    monkeypatch.setattr(arith, "is_perfect_square", lambda x: math.isqrt(x) if x >= 0 else None)
+    with pytest.raises(ArithmeticError, match="does not split F_5"):
+        fn.lambda_search(fn.make_fermat(5), 10**4)
+    assert cli.main(["fermat", "--index", "5", "--mode", "lambda"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal inconsistency: the square root at lam=")
 
 
 def test_lambda_search_budget_exhausted():

@@ -315,9 +315,9 @@ def test_each_class_reaches_the_kernel_once(monkeypatch):
     reached = []
     kernel = arith.sieve_progression
 
-    def recorded(start, stop, kills=()):
+    def recorded(start, stop, kills=(), *rest):
         reached.append(list(kills))
-        return kernel(start, stop, kills)
+        return kernel(start, stop, kills, *rest)
 
     monkeypatch.setattr(arith, "sieve_progression", recorded)
     t = quadform.make_target(3001)  # N = 36024005 = 5 * 7204801
