@@ -27,16 +27,13 @@ __all__ = [
 
 
 def isqrt(x: int) -> int:
-    """Floor square root: the result r satisfies r*r <= x < (r+1)*(r+1)."""
-    if x < 0:
-        raise ValueError("isqrt is undefined for negative values")
+    """Floor square root: the result r satisfies r*r <= x < (r+1)*(r+1).
+    A negative x raises math.isqrt's ValueError."""
     return math.isqrt(x)
 
 
 def ceil_sqrt(x: int) -> int:
-    """Smallest r with r*r >= x."""
-    if x < 0:
-        raise ValueError("ceil_sqrt is undefined for negative values")
+    """Smallest r with r*r >= x; a negative x raises math.isqrt's ValueError."""
     r = math.isqrt(x)
     return r if r * r == x else r + 1
 

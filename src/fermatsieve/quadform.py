@@ -23,10 +23,13 @@ pairs whose witness u they skip from the sound answer, and no scan
 applies them.
 
 factor_pairs, which the factor command runs, divides N by the a = 1 mod 4
-up to N^(1/3) first, and runs sieve_enumerate with no filter primes only
-when the cofactor left is composite or too large for an exact prime test.
+up to N^(1/3) first, and runs sieve_enumerate for the first pair, with no
+filter primes, only when the cofactor left is composite or too large for
+an exact prime test; that pair splits the cofactor, so every answer is
+built from N's prime factors.
 """
 
+import math
 from typing import NamedTuple
 
 from . import arith
@@ -152,8 +155,8 @@ def pair_from_candidate(t: QuadTarget, cand: Candidate) -> FactorPair:
 
 
 def _check_filter_prime(t: QuadTarget, p: int) -> None:
-    if p == 2 or not arith.is_prime(p):
-        raise ValueError(f"a filter modulus must be an odd prime, not {p}")
+    if p == 2 or p > arith.PRIME_BOUND_MAX or not arith.is_prime(p):
+        raise ValueError(f"a filter modulus must be an odd prime <= {arith.PRIME_BOUND_MAX}, not {p}")
     if t.N % p == 0:
         raise ValueError(f"{p} divides N = {t.N}; it is a factor, not a filter")
 
@@ -289,8 +292,9 @@ def _decided(c: int) -> bool:
 
 
 def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
-    """The pairs sieve_enumerate(t, want_all=want_all) returns, dividing
-    first and scanning only the hard case.
+    """The pairs sieve_enumerate(t, want_all=want_all) returns, built from
+    N's prime factors: the first pair, or every pair ascending in u when
+    want_all is set, and an empty list when N is prime.
 
     Every prime factor of N is 1 mod 4, so N is divided by a = 5, 9, 13, ...
     while a^3 <= N, each factor found removed in full, until the cofactor
@@ -300,10 +304,15 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
     has the largest such a, and want_all lists them descending in a, which
     is ascending in u.  Each is validated by _pair.
 
-    Past the division every prime factor of the cofactor exceeds N^(1/3),
-    so it has at most two.  When it is composite (p*q or p^2), or at least
-    2^64 and so not decided exactly, sieve_enumerate scans the target with
-    no filter primes; its pairs or prime verdict are returned as they are.
+    Past the division every prime factor of the cofactor c exceeds N^(1/3),
+    so it has at most two.  When c is composite (p*q or p^2), or at least
+    2^64 and so not decided exactly, sieve_enumerate(t) finds the first
+    pair (a, N/a) with no filter primes, and g = gcd(a, c) is put with the
+    primes: the smaller prime p of c is below sqrt(N) and above every
+    divisor of N/c, so a, the largest divisor below sqrt(N), holds exactly
+    one prime of a composite c, and g = 1 or g = c means c is prime.  No
+    pair means N is prime.  want_all only chooses which pairs are listed:
+    the scan is the same first-pair scan either way.
     """
     N = c = t.N
     primes = []
@@ -316,7 +325,10 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
                 if _decided(c):
                     break
         else:
-            return sieve_enumerate(t, want_all=want_all)
+            first = sieve_enumerate(t)  # the most balanced pair; none when N is prime
+            g = math.gcd(first[0].a, c) if first else 1
+            primes.append(g)  # p or q of c = p*q or p^2; 1 or c when c is prime
+            c //= g
     divisors = {1}
     for p in (*primes, c):
         divisors |= {d * p for d in divisors}
@@ -333,7 +345,9 @@ def heuristic_pairs(t: QuadTarget, filter_primes, want_all: bool = False) -> lis
     want_all is set.  Every pair's u lies in the paper's interval, so these
     are the pairs a whole-interval scan with the skips would find.  An
     empty list certifies nothing: the skips can drop every true witness
-    (n = 30, whose only witness u = 18 is 0 mod 3).
+    (n = 30, whose only witness u = 18 is 0 mod 3).  The skips and
+    want_all choose only which of N's pairs are returned: the search is
+    factor_pairs', at most one first-pair scan, whatever they are.
     """
     skips = [p for p in filter_primes if p % 4 == 3]
     index = (lambda u: 4 * u + 1) if t.offset == 3 else (lambda u: u)

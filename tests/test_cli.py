@@ -251,6 +251,8 @@ def test_main_runs_clean_after_a_usage_error_and_a_refusal(capsys):
     [
         ("--n", "10000001"),  # N = 5 * 73 * 1095890630137, found by division first
         ("--n", "3001", "--prime-bound", str(arith.PRIME_BOUND_MAX)),  # no class per prime
+        # a cofactor of two primes above N^(1/3): --all is one first-pair scan
+        ("--n", "10000000039", "--all"),
     ],
 )
 def test_factor_heuristic_filters_cost_what_the_sound_search_costs(argv):

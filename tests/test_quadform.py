@@ -4,7 +4,9 @@ Ground truth throughout comes from the trial-division oracle in the audit
 module, never from the sieve itself.
 """
 
+import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,22 @@ def test_sieve_filter_prime_dividing_n_keeps_smallest_u_first():
     # every discriminant is a square mod 5 | N, so its QR class keeps every u
     classes = arith.nonsquare_classes(t325.N, quadform.CENTER_STEP, t325.offset, [5])
     assert classes == [(5, 31)]
+
+
+def test_residue_marks_refuse_a_prime_past_the_bound_before_building(monkeypatch):
+    # 1048583 is the first prime above 2^20: a sweep would cost O(p) and
+    # the QR class a p-bit int, so neither builder may start
+    def unbuilt(*args):
+        raise AssertionError("marks built for a prime past PRIME_BOUND_MAX")
+
+    monkeypatch.setattr(arith, "mod_inv", unbuilt)
+    monkeypatch.setattr(arith, "nonsquare_classes", unbuilt)
+    t = quadform.make_target(4)
+    assert arith.is_prime(1048583) and 1048583 > arith.PRIME_BOUND_MAX
+    message = f"must be an odd prime <= {arith.PRIME_BOUND_MAX}, not 1048583"
+    for build in (quadform.admissible_residues_parametric, quadform.admissible_residues_qr):
+        with pytest.raises(ValueError, match=message):
+            build(t, 1048583)
 
 
 def test_sieve_rejects_even_filter_prime():
@@ -469,15 +487,57 @@ def test_factor_pairs_scan_only_the_hard_cofactors(monkeypatch):
 def test_factor_pairs_scan_a_cofactor_of_64_bits(monkeypatch):
     # N = 4 * 2147483662^2 + 1 >= 2^64 is (probably) prime: no division up
     # to N^(1/3) splits it, and is_prime is not exact there; the scan gets
-    # no filter primes, so only the kernel's square screens prune it
+    # no filter primes, so only the kernel's square screens prune it, and
+    # its empty answer is factor_pairs' prime verdict
     calls = []
-    monkeypatch.setattr(
-        quadform, "sieve_enumerate", lambda t, *args, **kw: calls.append((t.n, args, kw))
-    )
+
+    def stub(t, *args, **kw):
+        calls.append((t.n, args, kw))
+        return []
+
+    monkeypatch.setattr(quadform, "sieve_enumerate", stub)
     t = quadform.make_target(2147483662)
     assert t.N >= arith.PRIME_TEST_EXACT_BELOW
-    assert quadform.factor_pairs(t, want_all=True) is None
-    assert calls == [(2147483662, (), {"want_all": True})]
+    assert quadform.factor_pairs(t, want_all=True) == []
+    assert calls == [(2147483662, (), {})]
+
+
+@pytest.mark.parametrize("n", [19, 3013, 3021, 9999993])
+def test_factor_pairs_make_one_first_pair_scan(monkeypatch, n):
+    # 1445 = 5 * 17^2 (a p^2 cofactor), 653 * 55609, 5 * 821 * 8893 and
+    # 17 * 37 * 575401 * 1105193: want_all and the heuristic skips choose
+    # which pairs are returned, never what is scanned
+    scan = quadform.sieve_enumerate
+    calls = []
+
+    def recorded(t, *args, **kw):
+        calls.append(kw.get("want_all", args[1] if len(args) > 1 else False))
+        return scan(t, *args, **kw)
+
+    monkeypatch.setattr(quadform, "sieve_enumerate", recorded)
+    t = quadform.make_target(n)
+    quadform.factor_pairs(t, want_all=True)
+    assert calls == [False]
+    quadform.heuristic_pairs(t, quadform.default_filter_primes(t), want_all=True)
+    assert calls == [False, False]
+
+
+def test_factor_pairs_split_every_undecided_cofactor(monkeypatch):
+    # with only the cofactor 1 decided, every n whose division leaves more
+    # goes to the first-pair scan, and the split meets each outcome: N
+    # prime (no pair), a proper g = gcd(a, c), and g = 1 or g = c, where the
+    # cofactor c is prime
+    scan = quadform.sieve_enumerate
+    monkeypatch.setattr(arith, "PRIME_TEST_EXACT_BELOW", 2)
+    hard = _assert_factor_pairs_match_the_scan(monkeypatch, range(1, 3000))
+    outcomes = Counter()
+    for n in hard:
+        t = quadform.make_target(n)
+        c = math.prod(p for p in audit.oracle_factorize(t.N) if p**3 > t.N)
+        first = scan(t, ())
+        g = math.gcd(first[0].a, c) if first else 0
+        outcomes[{0: "N prime", 1: "g = 1", c: "g = c"}.get(g, "proper")] += 1
+    assert outcomes == {"N prime": 557, "proper": 648, "g = 1": 1545, "g = c": 202}
 
 
 def test_compositeness_witness_examples():
