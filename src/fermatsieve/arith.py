@@ -292,10 +292,12 @@ _SMALL_PRIMES = (
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
-#: is_prime is exact below this bound: its seven strong-pseudoprime bases
-#: (the well-known set in _U64_WITNESSES) decide every value below 2^64;
-#: above it is_prime draws _SPRP_ROUNDS bases at random.
-PRIME_TEST_EXACT_BELOW = 1 << 64
+#: is_prime is exact below this bound, psi_13 (OEIS A014233), the smallest
+#: strong pseudoprime to the 13 prime bases 2 to 41 (Sorenson and Webster,
+#: Math. Comp. 86, 2017): below 2^64 it takes the well-known seven bases of
+#: _U64_WITNESSES, from 2^64 those 13 primes, and from here on it draws
+#: _SPRP_ROUNDS bases at random.
+PRIME_TEST_EXACT_BELOW = 3317044064679887385961981
 
 _U64_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SPRP_ROUNDS = 24
@@ -316,11 +318,12 @@ def _is_strong_probable_prime(x: int, base: int, d: int, s: int) -> bool:
 
 
 def is_prime(x: int) -> bool:
-    """Primality test: exact for x < 2^64, strong-probable-prime above.
+    """Primality test: exact for x < PRIME_TEST_EXACT_BELOW,
+    strong-probable-prime above.
 
-    Above 2^64 the witness bases are drawn from random.Random(x), i.e. the
-    schedule is a fixed function of the input, so repeated runs always
-    return the same answer.
+    Above that bound the witness bases are drawn from random.Random(x),
+    i.e. the schedule is a fixed function of the input, so repeated runs
+    always return the same answer.
     """
     if x < 2:
         return False
@@ -334,9 +337,8 @@ def is_prime(x: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if x < PRIME_TEST_EXACT_BELOW:
-        witnesses = _U64_WITNESSES
-    else:
+    witnesses = _U64_WITNESSES if x < 1 << 64 else _SMALL_PRIMES[:13]  # the primes 2 to 41
+    if x >= PRIME_TEST_EXACT_BELOW:
         import random  # only this branch draws witnesses
 
         rng = random.Random(x)

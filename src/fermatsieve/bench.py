@@ -1,9 +1,10 @@
 """Candidate-count and wall-time comparison of factoring strategies.
 
 Each strategy times one call: a trial-division loop, fermat_factor, or
-for the QuadInterval strategies sieve_enumerate, the paper's scan:
-QuadInterval makes factor's call on a hard case (quadform.factor_pairs),
-and QuadIntervalQRFiltered adds the QR classes of the odd primes up to 97.
+for the QuadInterval strategies sieve_enumerate, the paper's scan up to
+its first witness: QuadInterval with no filter primes, and
+QuadIntervalQRFiltered with the QR classes of the odd primes up to 97.
+factor runs neither scan (quadform.factor_pairs).
 Candidate counts are exact and deterministic, and come from the last
 timed call: from its result, or for the QuadInterval strategies from the
 count record that the call's own scan fills (arith.square_centers); wall
@@ -11,9 +12,7 @@ times are median-of-k on a monotonic clock and are reported, never
 asserted.  A candidate is whatever a strategy pays for: a trial divisor,
 a center of the plain scan up to its hit or its budget, or a sieve index
 that survives the residue filters and the square screens and so reaches
-the exact square test, up to the first pair or the end of the sieve's
-scan.  The sieve's scan stops at the trial-division crossover, and the
-trial divisions past it are not counted.  The paper's heuristic skips
+the exact square test, up to the first pair.  The paper's heuristic skips
 are no strategy: they prune no scan, and factor --heuristic-filters
 drops their pairs from its sound answer (quadform.heuristic_pairs).
 """

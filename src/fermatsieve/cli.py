@@ -207,14 +207,16 @@ def cmd_factor(args) -> int:
     lines = [f"N = {t.N} = 4*{t.n}^2 + 1 ({t.parity} generator)"]
     for p in results["pairs"]:
         lines.append("u={u} center={center} d={d}: {N} = {a} * {b}".format(N=t.N, **p))
-    if verdict == "prime" and t.N < arith.PRIME_TEST_EXACT_BELOW:
+    if verdict == "prime" and t.N >= arith.PRIME_TEST_EXACT_BELOW:
         lines.append(
-            f"{t.N} is prime (N < 2^64, where the seven-base strong probable prime test is exact)"
+            f"{t.N} is prime (N >= psi_13, where the 13-base test is not exact: "
+            "division up to N^(1/3) and Lehman's method found no factor)"
         )
     elif verdict == "prime":
+        bound = "2^64" if t.N < 1 << 64 else f"psi_13 = {arith.PRIME_TEST_EXACT_BELOW}"
+        test = "seven-base" if t.N < 1 << 64 else "13-base (the prime bases 2 to 41)"
         lines.append(
-            f"{t.N} is prime (N >= 2^64: trial division up to isqrt(N)/4 and "
-            "the scan up to the crossover found nothing)"
+            f"{t.N} is prime (N < {bound}, where the {test} strong probable prime test is exact)"
         )
     elif verdict == "unknown":
         lines.append(
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factor", help="factor N = 4n^2+1 with the candidate sieve")
+    p = sub.add_parser("factor", help="factor N = 4n^2+1")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="generator n (N = 4n^2+1)")
     group.add_argument("--N", type=int, help="target N, validated to the 4n^2+1 form")

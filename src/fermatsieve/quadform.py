@@ -22,13 +22,15 @@ E3/O3 claims measure how often they misfire): heuristic_pairs drops the
 pairs whose witness u they skip from the sound answer, and no scan
 applies them.
 
-factor_pairs, which the factor command runs, divides N by the a = 1 mod 4
-up to N^(1/3) first, and runs sieve_enumerate for the first pair, with no
-filter primes, only when the cofactor left is composite or too large for
-an exact prime test; that pair splits the cofactor, so every answer is
+sieve_enumerate and compositeness_witness share one scan, the paper's
+interval up to the (5, N/5) split, which is linear in N.  factor_pairs,
+which the factor command runs, scans nothing: it divides N by the
+a = 1 mod 4 up to N^(1/3), and splits a cofactor left composite, or too
+large for an exact prime test, by Lehman's method, so every answer is
 built from N's prime factors.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -235,60 +237,66 @@ def _pair(t: QuadTarget, a: int) -> FactorPair:
     return pair_from_candidate(t, try_candidate(t, derive_u(t, a, t.N // a)))
 
 
-#: sieve_enumerate trial-divides B/4 values up to B = isqrt(N) // this and
-#: scans the u up to the (B+1) split's center, about (N/(2B) - sqrt(N))/8
-#: of them, where the paper's interval holds about N/40.  The search
-#: time is flat within 4% for divisors 3 to 8 over n in [3000, 5000), and
-#: 4 is the fastest of 2 to 12 on prime N near n = 200000 (see README).
-_CROSSOVER_DIVISOR = 4
+def _witnesses(t: QuadTarget, filter_primes=(), counts=None):
+    """The paper's scan: yield try_candidate(t, u) for every u, ascending,
+    whose discriminant is a square, up to the (5, N/5) split's center.
+
+    Every proper factor of N is 1 mod 4, so none is below 5, and for
+    a <= sqrt(N) the center (a + N/a) / 2 falls as a grows: every witness
+    lies at or below the (5, N/5) split's center, about halfway through the
+    paper's interval.  u is pruned by filter_kills' QR classes of the
+    filter primes and by square_centers' square screens, none of which
+    drops a square discriminant.  counts, when given, is passed to
+    arith.square_centers as its count record.
+    """
+    span = _to_split(t, 5)
+    kills = filter_kills(t, filter_primes)
+    for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop, kills, counts):
+        yield try_candidate(t, u)
 
 
 def sieve_enumerate(
     t: QuadTarget, filter_primes=(), want_all: bool = False, counts=None
 ) -> list[FactorPair]:
-    """Search for the proper factor pairs of N.
+    """The proper factor pairs of N from the paper's scan (_witnesses),
+    each square discriminant validated into a FactorPair.
 
-    Every proper factor is 1 mod 4, so trial division by a = 1 mod 4 with
-    5 <= a <= B = isqrt(N) // 4 finds every pair with a <= B.  For
-    a <= sqrt(N) the center (a + N/a) / 2 falls as a grows, so every other
-    pair has its center at or below that of the (B+1, N/(B+1)) split, and
-    the u scan stops there or at the end of the paper's interval, whichever
-    comes first.
-
-    u is scanned ascending, pruned by filter_kills' QR residue classes of
-    the filter primes and by the square screens, and each square
-    discriminant is validated into a FactorPair.  A filter prime that divides N prunes
-    nothing: every discriminant is a square modulo it.  The trial pairs
-    follow the scan's in descending a, which is ascending u; each is
-    validated by _pair.
-
-    Returns the first pair, or every pair ascending in u when want_all is
-    set.  The factor gap d grows with u, so the first pair (smallest u) is
-    always the most balanced split.  An empty list means no divisor up to
-    B and no witness up to the (B+1) split's center, which certifies N
-    prime.  counts, when given, is passed to the scan's
-    arith.square_centers as its count record.
+    A filter prime that divides N prunes nothing: every discriminant is a
+    square modulo it.  Returns the first pair, or every pair ascending in u
+    when want_all is set.  The factor gap d grows with u, so the first pair
+    (smallest u) is always the most balanced split.  An empty list certifies
+    N prime.  The scan is linear in N (about N/80 u), so factor_pairs, which
+    the factor command runs, does not use it.
     """
-    B = arith.isqrt(t.N) // _CROSSOVER_DIVISOR
-    span = _to_split(t, B + 1)
-    kills = filter_kills(t, filter_primes)
-    found: list[FactorPair] = []
-    scan = arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop, kills, counts)
-    for u, _ in scan:
-        found.append(pair_from_candidate(t, try_candidate(t, u)))
-        if not want_all:
-            return found
-    for a in range(B - (B - 1) % 4, 4, -4):  # a = 1 mod 4 from B down; none if B < 5
-        if t.N % a == 0:
-            found.append(_pair(t, a))
-            if not want_all:
-                break
-    return found
+    pairs = (pair_from_candidate(t, cand) for cand in _witnesses(t, filter_primes, counts))
+    return list(pairs if want_all else itertools.islice(pairs, 1))
 
 
 def _decided(c: int) -> bool:
     """Whether the cofactor c is 1 or a prime that arith.is_prime decides exactly."""
     return c == 1 or c < arith.PRIME_TEST_EXACT_BELOW and arith.is_prime(c)
+
+
+def _lehman_split(c: int) -> int:
+    """A prime factor of c by Lehman's method, or 1 when c is prime.
+
+    c must have no prime factor up to c^(1/3), so it is a prime, p^2 or
+    p*q.  Lehman (Math. Comp. 28, 1974) proved that a composite such c has,
+    for some k = 1 .. ceil(c^(1/3)), an a from ceil(sqrt(4kc)) to
+    sqrt(4kc) + c^(1/6) / (4 sqrt(k)) with a^2 - 4kc = b^2 and
+    1 < gcd(a + b, c) < c: this is Fermat's method on 4kc.  Bounds are
+    taken in integers, the upper one rounded up, which only adds a's.  No
+    such a proves c prime, after O(c^(1/3)) steps.
+    """
+    root3 = arith.icbrt(c)
+    for k in range(1, root3 + 2):
+        kc4 = 4 * k * c
+        s = math.isqrt(kc4)
+        for a in range(s + (s * s < kc4), s + math.isqrt(root3 // (16 * k)) + 2):
+            b = arith.is_perfect_square(a * a - kc4)
+            if b is not None and 1 < (g := math.gcd(a + b, c)) < c:
+                return g
+    return 1
 
 
 def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
@@ -298,21 +306,15 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
 
     Every prime factor of N is 1 mod 4, so N is divided by a = 5, 9, 13, ...
     while a^3 <= N, each factor found removed in full, until the cofactor
-    is 1 or a prime below 2^64, where arith.is_prime is exact; N itself is
-    tested first, so a prime N below 2^64 takes no division.  N's prime
-    factors then give every pair (a, N/a) with a <= sqrt(N): the first pair
-    has the largest such a, and want_all lists them descending in a, which
-    is ascending in u.  Each is validated by _pair.
-
-    Past the division every prime factor of the cofactor c exceeds N^(1/3),
-    so it has at most two.  When c is composite (p*q or p^2), or at least
-    2^64 and so not decided exactly, sieve_enumerate(t) finds the first
-    pair (a, N/a) with no filter primes, and g = gcd(a, c) is put with the
-    primes: the smaller prime p of c is below sqrt(N) and above every
-    divisor of N/c, so a, the largest divisor below sqrt(N), holds exactly
-    one prime of a composite c, and g = 1 or g = c means c is prime.  No
-    pair means N is prime.  want_all only chooses which pairs are listed:
-    the scan is the same first-pair scan either way.
+    is 1 or a prime below arith.PRIME_TEST_EXACT_BELOW, where
+    arith.is_prime is exact; N itself is tested first, so a prime N below
+    that bound takes no division.  Past the division every prime factor of
+    the cofactor c exceeds N^(1/3) >= c^(1/3), so _lehman_split either
+    splits it into its two primes or proves it prime: the answer is exact
+    for every N, and no scan runs.  N's prime factors then give every pair
+    (a, N/a) with a <= sqrt(N): the first pair has the largest such a, and
+    want_all lists them descending in a, which is ascending in u.  Each is
+    validated by _pair.
     """
     N = c = t.N
     primes = []
@@ -325,10 +327,8 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
                 if _decided(c):
                     break
         else:
-            first = sieve_enumerate(t)  # the most balanced pair; none when N is prime
-            g = math.gcd(first[0].a, c) if first else 1
-            primes.append(g)  # p or q of c = p*q or p^2; 1 or c when c is prime
-            c //= g
+            primes.append(_lehman_split(c))  # p of c = p*q or p^2; 1 when c is prime
+            c //= primes[-1]
     divisors = {1}
     for p in (*primes, c):
         divisors |= {d * p for d in divisors}
@@ -347,7 +347,7 @@ def heuristic_pairs(t: QuadTarget, filter_primes, want_all: bool = False) -> lis
     empty list certifies nothing: the skips can drop every true witness
     (n = 30, whose only witness u = 18 is 0 mod 3).  The skips and
     want_all choose only which of N's pairs are returned: the search is
-    factor_pairs', at most one first-pair scan, whatever they are.
+    factor_pairs', which runs no scan, whatever they are.
     """
     skips = [p for p in filter_primes if p % 4 == 3]
     index = (lambda u: 4 * u + 1) if t.offset == 3 else (lambda u: u)
@@ -356,21 +356,15 @@ def heuristic_pairs(t: QuadTarget, filter_primes, want_all: bool = False) -> lis
 
 
 def compositeness_witness(t: QuadTarget) -> Candidate | None:
-    """First u in the interval with a square discriminant, or None.
+    """The first candidate of the paper's scan (_witnesses) with no filter
+    primes, or None.
 
-    Every proper factor of N is 1 mod 4, so none is below 5, and for
-    a <= sqrt(N) the center (a + N/a) / 2 falls as a grows: every witness
-    lies at or below the (5, N/5) split's center, and the scan stops there,
-    about halfway through the paper's interval.  It passes no classes, so
-    only square_centers' square screens drop a u: those whose discriminant
-    is no square modulo some q, and a square is one modulo every q.  The
-    first hit is returned as try_candidate evaluates it, and certifies N
-    composite; None certifies N prime.
+    Only square_centers' square screens drop a u: those whose discriminant
+    is no square modulo some screen modulus, and a square is one modulo
+    every modulus.  The first hit is returned as try_candidate evaluates
+    it, and certifies N composite; None certifies N prime.
     """
-    span = _to_split(t, 5)
-    for u, _ in arith.square_centers(t.N, CENTER_STEP, t.offset, span.start, span.stop):
-        return try_candidate(t, u)
-    return None
+    return next(_witnesses(t), None)
 
 
 def derive_u(t: QuadTarget, a: int, b: int) -> int:

@@ -541,6 +541,49 @@ def test_is_prime_above_64_bits_is_deterministic():
     assert not arith.is_prime(m127 * ((1 << 89) - 1))
 
 
+#: The smallest strong pseudoprimes to the first 12 and 13 prime bases
+#: (OEIS A014233), as products of their two prime factors.
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def _strong_probable_prime(x, base):
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    v = pow(base, d, x)
+    return v in (1, x - 1) or any(pow(v, 1 << r, x) == x - 1 for r in range(1, s))
+
+
+def test_prime_test_is_exact_below_psi_13():
+    bases = arith.primes_up_to(41)
+    assert len(bases) == 13 and arith.PRIME_TEST_EXACT_BELOW == PSI_13
+    for p in (399165290221, 798330580441, 1287836182261, 2575672364521):
+        assert arith.is_prime(p)  # each below 2^64, where the seven bases decide
+    # psi_12 passes bases 2 to 37 and fails 41; psi_13 passes all 13
+    assert [_strong_probable_prime(PSI_12, b) for b in bases] == [True] * 12 + [False]
+    assert all(_strong_probable_prime(PSI_13, b) for b in bases)
+    assert 1 << 64 < PSI_12 < PSI_13
+    assert not arith.is_prime(PSI_12)
+
+
+def test_is_prime_takes_the_13_bases_from_2_64(monkeypatch):
+    # past 2^64 and below psi_13 no base is drawn at random: a 69-bit prime N
+    # = 4n^2 + 1 and 2917 * a 65-bit prime are decided by the 13 bases alone
+    def no_draw(*args):
+        raise AssertionError("a random base was drawn")
+
+    import random
+
+    monkeypatch.setattr(random, "Random", no_draw)
+    assert arith.is_prime(4 * 10000000002**2 + 1)
+    assert arith.is_prime(20900347964557399981)
+    assert not arith.is_prime(2917 * 20900347964557399981)
+    assert not arith.is_prime(PSI_12)
+    with pytest.raises(AssertionError, match="drawn"):
+        arith.is_prime(PSI_13)
+
+
 def test_primes_up_to_examples():
     assert arith.primes_up_to(10) == [2, 3, 5, 7]
     assert arith.primes_up_to(1) == []

@@ -50,26 +50,23 @@ def test_sound_strategies_always_find():
         assert row.pair[0] * row.pair[1] == row.N
 
 
-def test_sieve_counts_stop_at_the_scan_crossover():
-    # N = 13 * 3076923077: the pair comes from trial division, far past the
-    # scan's stop; the square screens pass 7 of the scan's 28124 u to the
-    # square test, and the QR filters with the screens none
+def test_sieve_counts_run_to_the_first_witness():
+    # N = 13 * 3076923077: the paper's scan runs to the (13, N/13) split's
+    # u = 192307693, its first witness; the square screens pass 69184 of its
+    # u to the square test, and the QR filters with the screens 13
     rows = bench.run_bench(
         [100000], [Strategy.QUAD_INTERVAL, Strategy.QUAD_INTERVAL_QR], repetitions=1
     )
-    counts = {}  # the scan's count record; with no filter primes it keeps every u
-    quadform.sieve_enumerate(quadform.make_target(100000), counts=counts)
-    assert counts == {"kept": 28124, "tested": 7}
-    assert [r.candidates_examined for r in rows] == [7, 0]
+    assert [r.candidates_examined for r in rows] == [69184, 13]
     assert [r.pair for r in rows] == [(13, 3076923077)] * 2
-    # n = 30: the scan visits 7 u, the screens drop all of them, and its
-    # witness u = 18 lies past them
+    # n = 30: the scan visits u = 8 to 18, the screens drop all but its
+    # witness u = 18, and the record keeps the whole first block, 8 to 45
     (row,) = bench.run_bench([30], [Strategy.QUAD_INTERVAL], repetitions=1)
-    counts = {}
-    quadform.sieve_enumerate(quadform.make_target(30), counts=counts)
-    assert counts == {"kept": 7, "tested": 0}
-    assert row.candidates_examined == 0
-    assert row.pair == (13, 277)
+    counts = {}  # the scan's count record; with no filter primes it keeps every u
+    t = quadform.make_target(30)
+    assert [p.witness_u for p in quadform.sieve_enumerate(t, counts=counts)] == [18]
+    assert counts == {"kept": 38, "tested": 1}
+    assert (row.candidates_examined, row.pair) == (1, (13, 277))
 
 
 #: (TrialDivision, PlainFermat, QuadInterval, QuadIntervalQRFiltered)
@@ -79,11 +76,11 @@ _PINNED_COUNTS = {
     4: (2, 1, 1, 1),
     9: (2, 1, 1, 1),
     16: (2, 1, 1, 1),
-    30: (6, 85, 0, 0),
+    30: (6, 85, 1, 1),
     56: (2, 17, 1, 1),
-    3013: (326, 22105, 0, 0),
+    3013: (326, 22105, 1, 1),
     3021: (2, 457, 1, 1),
-    100000: (6, 1538261545, 7, 0),
+    100000: (6, 1538261545, 69184, 13),
 }
 
 

@@ -251,7 +251,7 @@ def test_main_runs_clean_after_a_usage_error_and_a_refusal(capsys):
     [
         ("--n", "10000001"),  # N = 5 * 73 * 1095890630137, found by division first
         ("--n", "3001", "--prime-bound", str(arith.PRIME_BOUND_MAX)),  # no class per prime
-        # a cofactor of two primes above N^(1/3): --all is one first-pair scan
+        # a cofactor of two primes above N^(1/3): --all is one Lehman split
         ("--n", "10000000039", "--all"),
     ],
 )
@@ -295,9 +295,10 @@ def test_factor_large_prime_verdict_is_fast(capsys):
 @pytest.fixture
 def no_scan(monkeypatch):
     def scan(*args, **kwargs):
-        raise AssertionError("sieve_enumerate called")
+        raise AssertionError("a scan ran")
 
     monkeypatch.setattr(quadform, "sieve_enumerate", scan)
+    monkeypatch.setattr(arith, "square_centers", scan)
 
 
 def test_factor_divides_out_a_small_factor_without_the_scan(no_scan, capsys):
@@ -319,33 +320,55 @@ def test_factor_prime_below_2_64_without_the_scan(no_scan, capsys):
     )
 
 
-def test_factor_prime_at_2_64_names_the_scan(monkeypatch, capsys):
-    # N = 4 * 2147483662^2 + 1 >= 2^64, where is_prime is not exact: the
-    # verdict is the scan's (stubbed here; the real scan runs for minutes)
-    monkeypatch.setattr(quadform, "sieve_enumerate", lambda *args, **kwargs: [])
+def test_factor_prime_past_2_64_names_the_13_base_test(no_scan, capsys):
+    # N = 4 * 2147483662^2 + 1 is the first prime N past 2^64, where the
+    # 13 prime bases 2 to 41 decide it exactly, with no division
     rc, out, _ = run(capsys, "factor", "--n", "2147483662")
     assert rc == 1
     assert out.endswith(
-        "18446744314227720977 is prime (N >= 2^64: trial division up to isqrt(N)/4 and "
-        "the scan up to the crossover found nothing)\n"
+        "18446744314227720977 is prime (N < psi_13 = 3317044064679887385961981, where the "
+        "13-base (the prime bases 2 to 41) strong probable prime test is exact)\n"
     )
 
 
-def test_factor_hard_case_scans_with_the_screens_alone(monkeypatch, capsys):
-    # N = 36312677 = 653 * 55609, both above N^(1/3): the scan runs, and
-    # --prime-bound, even at its cap, adds no QR class to the square screens
+def test_factor_prime_past_the_exact_test_names_lehman(monkeypatch, no_scan, capsys):
+    # with the exact test moved below N = 4 * 1000012^2 + 1, as for an N past
+    # psi_13 (a real one costs minutes), the verdict is the division's and
+    # the Lehman split's
+    monkeypatch.setattr(arith, "PRIME_TEST_EXACT_BELOW", 1 << 40)
+    rc, out, _ = run(capsys, "factor", "--n", "1000012")
+    assert rc == 1
+    assert out.endswith(
+        "4000096000577 is prime (N >= psi_13, where the 13-base test is not exact: "
+        "division up to N^(1/3) and Lehman's method found no factor)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (("--n", "10000000002"), []),  # a 69-bit prime N
+        (("--n", "123456789012", "--all"), [(2917, 20900347964557399981)]),
+        (("--n", "9999996"), [(2621545, 152581657)]),  # 5 * 524309 and 1181 * 129197
+    ],
+)
+def test_factor_past_the_old_scan_is_fast(no_scan, capsys, argv, pairs):
+    # the 65-bit cofactor of 123456789012 is decided by the 13-base test, and
+    # 9999996's 129197 * 524309 split by Lehman's method: no scan of N runs
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "factor", *argv, "--json")
+    assert time.perf_counter() - start < 1.0
+    assert rc == (0 if pairs else 1)
+    assert [(p["a"], p["b"]) for p in json.loads(out)["results"]["pairs"]] == pairs
+
+
+def test_factor_hard_case_runs_no_scan(monkeypatch, no_scan, capsys):
+    # N = 36312677 = 653 * 55609, both above N^(1/3): the Lehman split finds
+    # them, and --prime-bound, even at its cap, builds no filter primes
     def no_filter_primes(*args):
         raise AssertionError("default_filter_primes called")
 
-    reached = []
-    kernel = arith.sieve_progression
-
-    def recorded(start, stop, kills=(), *rest):
-        reached.append(list(kills))
-        return kernel(start, stop, kills, *rest)
-
     monkeypatch.setattr(quadform, "default_filter_primes", no_filter_primes)
-    monkeypatch.setattr(arith, "sieve_progression", recorded)
     start = time.perf_counter()
     bound = str(arith.PRIME_BOUND_MAX)
     rc, out, _ = run(capsys, "factor", "--n", "3013", "--prime-bound", bound, "--json")
@@ -353,8 +376,6 @@ def test_factor_hard_case_scans_with_the_screens_alone(monkeypatch, capsys):
     assert rc == 0
     results = json.loads(out)["results"]
     assert [(p["a"], p["b"]) for p in results["pairs"]] == [(653, 55609)]
-    t = quadform.make_target(3013)
-    assert reached == [arith.nonsquare_classes(t.N, 8, t.offset)]
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 

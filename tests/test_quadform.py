@@ -385,94 +385,96 @@ def _as_tuples(pairs):
     return [(p.a, p.b, p.witness_u, p.d) for p in pairs]
 
 
-def test_crossover_matches_full_interval_scan():
-    for n in range(1, 1001):
-        t = quadform.make_target(n)
-        assert quadform.sieve_enumerate(t, (), want_all=True) == _full_interval_pairs(t), n
+def _oracle_pairs(t):
+    """Every proper pair (a, b) of N as _as_tuples gives it, ascending in
+    u = ((a+b)/2 - offset)/8 with gap d = (b-a)/2, from the oracle's pairs."""
+    oracle = [] if t.n == 1 else audit.proper_factor_pairs(t.N)
+    return [(a, b, ((a + b) // 2 - t.offset) // 8, (b - a) // 2) for a, b in reversed(oracle)]
 
 
-def test_crossover_matches_oracle_pairs_to_3000():
-    # The full-interval scan returns every proper pair (a, b), ascending in
-    # u = ((a+b)/2 - offset)/8 with gap d = (b-a)/2 (the interval holds
-    # every pair: claims E2/O2); built here from the oracle's pairs, it
-    # covers n <= 3000 at a fraction of that scan's cost.
+def test_sieve_enumerate_stops_at_the_five_split_with_every_pair():
+    # every pair's center lies at or below the (5, N/5) split's, about
+    # halfway through the paper's interval, so the scan's stop loses none:
+    # its pairs are the oracle's, and to n = 1000 a whole-interval scan's
     for n in range(1, 3001):
         t = quadform.make_target(n)
-        oracle = [] if n == 1 else audit.proper_factor_pairs(t.N)
-        expected = [
-            (a, b, ((a + b) // 2 - t.offset) // 8, (b - a) // 2) for a, b in reversed(oracle)
-        ]
-        assert _as_tuples(quadform.sieve_enumerate(t, (), want_all=True)) == expected, n
-        assert _as_tuples(quadform.sieve_enumerate(t, ())) == expected[:1], n
+        pairs = quadform.sieve_enumerate(t, (), want_all=True)
+        assert _as_tuples(pairs) == _oracle_pairs(t), n
+        assert quadform.sieve_enumerate(t, ()) == pairs[:1], n
+        if n <= 1000:
+            assert pairs == _full_interval_pairs(t), n
 
 
-def test_crossover_trial_pairs_follow_scan_pairs():
-    # N = 40001 = 13 * 17 * 181, B = 50: the scan finds (181, 221) below the
-    # (51, N/51) split's center, trial division (17, 2353) and (13, 3077)
-    t = quadform.make_target(100)
-    assert _as_tuples(quadform.sieve_enumerate(t, (), want_all=True)) == [
-        (181, 221, 25, 20),
-        (17, 2353, 148, 1168),
-        (13, 3077, 193, 1532),
-    ]
-    # N = 13925 = 5^2 * 557, B = 29: the composite divisor 25 is tried too
-    t = quadform.make_target(59)
-    assert _as_tuples(quadform.sieve_enumerate(t, (), want_all=True)) == [
-        (25, 557, 36, 266),
-        (5, 2785, 174, 1390),
-    ]
-    assert _as_tuples(quadform.sieve_enumerate(t, ())) == [(25, 557, 36, 266)]
+@pytest.fixture
+def no_scan(monkeypatch):
+    """The paper's scan and the kernel under it raise when called."""
+
+    def scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    for module, name in (
+        (quadform, "sieve_enumerate"),
+        (quadform, "compositeness_witness"),
+        (arith, "square_centers"),
+        (arith, "sieve_progression"),
+    ):
+        monkeypatch.setattr(module, name, scan)
 
 
-def _scan_recorder(monkeypatch):
-    """Stub sieve_enumerate so that it still scans, and list the n it gets."""
-    scan = quadform.sieve_enumerate
-    scanned = []
+def _split_recorder(monkeypatch):
+    """Record each _lehman_split call as (cofactor, factor returned)."""
+    split = quadform._lehman_split
+    calls = []
 
-    def recorded(t, *args, **kwargs):
-        scanned.append(t.n)
-        return scan(t, *args, **kwargs)
+    def recorded(c):
+        calls.append((c, split(c)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(quadform, "sieve_enumerate", recorded)
-    return scan, scanned
+    monkeypatch.setattr(quadform, "_lehman_split", recorded)
+    return calls
 
 
-def _assert_factor_pairs_match_the_scan(monkeypatch, generators):
-    """factor_pairs gives the pairs of the scan it replaces, the scan with
-    no filter primes, with and without want_all; returns the n that went
-    to the scan."""
-    scan, scanned = _scan_recorder(monkeypatch)
+def _assert_factor_pairs_match_the_oracle(monkeypatch, generators):
+    """factor_pairs gives the oracle's pairs, the first or all of them;
+    returns its Lehman splits as a set of (n, cofactor, factor returned)."""
+    calls = _split_recorder(monkeypatch)
+    splits = set()
     for n in generators:
         t = quadform.make_target(n)
+        expected = _oracle_pairs(t)
         for want_all in (False, True):
-            expected = scan(t, (), want_all=want_all)
-            assert quadform.factor_pairs(t, want_all=want_all) == expected, (n, want_all)
-    return sorted(set(scanned))
+            got = _as_tuples(quadform.factor_pairs(t, want_all=want_all))
+            assert got == (expected if want_all else expected[:1]), (n, want_all)
+        splits |= {(n, *call) for call in calls}
+        calls.clear()
+    return splits
 
 
-def test_factor_pairs_match_the_scan_below_5000(monkeypatch):
-    hard = _assert_factor_pairs_match_the_scan(monkeypatch, range(1, 5000))
+def test_factor_pairs_match_the_oracle_below_5000(monkeypatch, no_scan):
+    hard = {n for n, _, _ in _assert_factor_pairs_match_the_oracle(monkeypatch, range(1, 5000))}
     # the hard cases: N = p*q, or p^2, times the factors up to N^(1/3)
     assert 3013 in hard and 3021 in hard  # 653 * 55609, 5 * 821 * 8893
     assert sum(3000 <= n < 5000 for n in hard) == 427
 
 
-def test_factor_pairs_match_the_scan_near_1e5_and_1e7(monkeypatch):
+def test_factor_pairs_match_the_oracle_near_1e5_and_1e7(monkeypatch, no_scan):
     near_1e5 = range(10**5 - 100, 10**5 + 100)
-    # 5 * 73 * 1095890630137, a prime N, and the hard 17 * 37 * 575401 * 1105193
-    # and 5 * 2570437 * 31123181 (each a cofactor of two primes above N^(1/3))
-    near_1e7 = (10**7 + 1, 10000013, 9999993, 10000011)
-    hard = _assert_factor_pairs_match_the_scan(monkeypatch, [*near_1e5, *near_1e7])
-    assert {9999993, 10000011} <= set(hard) and 10**7 + 1 not in hard
+    # 5 * 73 * 1095890630137, a prime N, and the hard 17 * 37 * 575401 * 1105193,
+    # 5 * 2570437 * 31123181 and 5 * 1181 * 129197 * 524309 (each a cofactor
+    # of two primes above N^(1/3))
+    near_1e7 = (10**7 + 1, 10000013, 9999993, 10000011, 9999996)
+    splits = _assert_factor_pairs_match_the_oracle(monkeypatch, [*near_1e5, *near_1e7])
+    hard = {n for n, _, _ in splits}
+    assert {9999993, 10000011, 9999996} <= hard and 10**7 + 1 not in hard
 
 
-def test_factor_pairs_scan_only_the_hard_cofactors(monkeypatch):
-    _, scanned = _scan_recorder(monkeypatch)
-    # easy: the cofactor is 1 or a prime below 2^64 (325 = 5^2 * 13, then
-    # 365 * 1095890630137 and a prime N)
+def test_factor_pairs_split_only_the_hard_cofactors(monkeypatch, no_scan):
+    calls = _split_recorder(monkeypatch)
+    # easy: the cofactor is 1 or a prime decided exactly (325 = 5^2 * 13,
+    # then 365 * 1095890630137 and a prime N)
     for n in (9, 10**7 + 1, 10000013):
         quadform.factor_pairs(quadform.make_target(n))
-    assert scanned == []
+    assert calls == []
     # 36312677 = 653 * 55609, both above N^(1/3) = 331
     assert _as_tuples(quadform.factor_pairs(quadform.make_target(3013))) == [
         (653, 55609, 3516, 27478)
@@ -481,63 +483,61 @@ def test_factor_pairs_scan_only_the_hard_cofactors(monkeypatch):
     assert [p.a for p in quadform.factor_pairs(quadform.make_target(3021), want_all=True)] == [
         4105, 821, 5
     ]
-    assert scanned == [3013, 3021]
+    assert calls == [(36312677, 55609), (821 * 8893, 821)]
 
 
-def test_factor_pairs_scan_a_cofactor_of_64_bits(monkeypatch):
-    # N = 4 * 2147483662^2 + 1 >= 2^64 is (probably) prime: no division up
-    # to N^(1/3) splits it, and is_prime is not exact there; the scan gets
-    # no filter primes, so only the kernel's square screens prune it, and
-    # its empty answer is factor_pairs' prime verdict
-    calls = []
-
-    def stub(t, *args, **kw):
-        calls.append((t.n, args, kw))
-        return []
-
-    monkeypatch.setattr(quadform, "sieve_enumerate", stub)
-    t = quadform.make_target(2147483662)
+def test_factor_pairs_prove_a_cofactor_past_the_exact_test_prime(monkeypatch, no_scan):
+    # N = 4 * 1000012^2 + 1 is prime; with the exact test moved below it, as
+    # past psi_13 (a real N there costs minutes of division and Lehman
+    # search), no division up to N^(1/3) splits it, and the Lehman split
+    # finding no factor is factor_pairs' prime verdict
+    calls = _split_recorder(monkeypatch)
+    monkeypatch.setattr(arith, "PRIME_TEST_EXACT_BELOW", 1 << 40)
+    t = quadform.make_target(1000012)
     assert t.N >= arith.PRIME_TEST_EXACT_BELOW
     assert quadform.factor_pairs(t, want_all=True) == []
-    assert calls == [(2147483662, (), {})]
+    assert calls == [(t.N, 1)]
 
 
 @pytest.mark.parametrize("n", [19, 3013, 3021, 9999993])
-def test_factor_pairs_make_one_first_pair_scan(monkeypatch, n):
+def test_factor_pairs_run_no_scan(monkeypatch, no_scan, n):
     # 1445 = 5 * 17^2 (a p^2 cofactor), 653 * 55609, 5 * 821 * 8893 and
     # 17 * 37 * 575401 * 1105193: want_all and the heuristic skips choose
-    # which pairs are returned, never what is scanned
-    scan = quadform.sieve_enumerate
-    calls = []
-
-    def recorded(t, *args, **kw):
-        calls.append(kw.get("want_all", args[1] if len(args) > 1 else False))
-        return scan(t, *args, **kw)
-
-    monkeypatch.setattr(quadform, "sieve_enumerate", recorded)
+    # which pairs are returned, never what is searched
+    calls = _split_recorder(monkeypatch)
     t = quadform.make_target(n)
-    quadform.factor_pairs(t, want_all=True)
-    assert calls == [False]
+    first = quadform.factor_pairs(t)
+    assert quadform.factor_pairs(t, want_all=True)[:1] == first
     quadform.heuristic_pairs(t, quadform.default_filter_primes(t), want_all=True)
-    assert calls == [False, False]
+    assert len(calls) == 3 and len(set(calls)) == 1
 
 
-def test_factor_pairs_split_every_undecided_cofactor(monkeypatch):
-    # with only the cofactor 1 decided, every n whose division leaves more
-    # goes to the first-pair scan, and the split meets each outcome: N
-    # prime (no pair), a proper g = gcd(a, c), and g = 1 or g = c, where the
-    # cofactor c is prime
-    scan = quadform.sieve_enumerate
-    monkeypatch.setattr(arith, "PRIME_TEST_EXACT_BELOW", 2)
-    hard = _assert_factor_pairs_match_the_scan(monkeypatch, range(1, 3000))
-    outcomes = Counter()
-    for n in hard:
+def test_lehman_split_matches_the_oracle():
+    # the cofactor of two primes above N^(1/3) of every hard n in
+    # [3000, 5000), of n = 9999996 (129197 * 524309) and of n = 19 (17^2)
+    cases = 0
+    for n in [*range(3000, 5000), 9999996, 19]:
         t = quadform.make_target(n)
-        c = math.prod(p for p in audit.oracle_factorize(t.N) if p**3 > t.N)
-        first = scan(t, ())
-        g = math.gcd(first[0].a, c) if first else 0
-        outcomes[{0: "N prime", 1: "g = 1", c: "g = c"}.get(g, "proper")] += 1
-    assert outcomes == {"N prime": 557, "proper": 648, "g = 1": 1545, "g = c": 202}
+        big = [p for p in audit.oracle_factorize(t.N) if p**3 > t.N]
+        if len(big) == 2:
+            assert quadform._lehman_split(big[0] * big[1]) in big, n
+            assert [quadform._lehman_split(p) for p in big] == [1, 1], n
+            cases += 1
+    assert cases == 427 + 2
+    assert quadform._lehman_split(17 * 17) == 17
+
+
+def test_factor_pairs_split_every_undecided_cofactor(monkeypatch, no_scan):
+    # with only the cofactor 1 decided, every n whose division leaves more
+    # goes to the Lehman split, which meets each outcome: N prime, another
+    # prime cofactor (no factor either way), p^2 and p*q
+    monkeypatch.setattr(arith, "PRIME_TEST_EXACT_BELOW", 2)
+    splits = _assert_factor_pairs_match_the_oracle(monkeypatch, range(1, 3000))
+    outcomes = Counter(
+        ("N prime" if c == 4 * n * n + 1 else "prime") if g == 1 else "p^2" if g * g == c else "p*q"
+        for n, c, g in splits
+    )
+    assert outcomes == {"N prime": 557, "prime": 1747, "p*q": 643, "p^2": 5}
 
 
 def test_compositeness_witness_examples():
@@ -582,9 +582,9 @@ def test_compositeness_witness_stops_at_the_five_split(monkeypatch):
     stops = []
     real = arith.square_centers
 
-    def spy(N, step, offset, start, stop, kills=()):
+    def spy(N, step, offset, start, stop, *rest):
         stops.append(stop)
-        return real(N, step, offset, start, stop, kills)
+        return real(N, step, offset, start, stop, *rest)
 
     monkeypatch.setattr(arith, "square_centers", spy)
     t = quadform.make_target(1402)  # N prime: the scan runs to its end
@@ -659,3 +659,15 @@ def test_witness_monotonicity():
         gaps = [p.d for p in pairs]
         assert centers == sorted(centers)
         assert all(x < y for x, y in zip(gaps, gaps[1:]))
+
+
+def test_factor_pairs_at_9999996_within_10_ms():
+    # N = 5 * 1181 * 129197 * 524309: division to N^(1/3) and the Lehman
+    # split of 129197 * 524309 take about 2 ms
+    t = quadform.make_target(9999996)
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        quadform.factor_pairs(t, want_all=True)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.010, f"took {best * 1000:.1f} ms"
