@@ -11,9 +11,12 @@ computes that residue.  lucas_divisors runs the classic test
 2^(2^n) = -1 (mod d) instead, n squarings against about twice as many
 multiplications: with d = 2^(n+2) s + 1, 2^(n+2) s = -1 gives
 s^2 = 2^(-2(n+2)), so the paper's residue is 2^(-2(n+2)) (2^(2^n) + 1)
-mod d, and 2 is a unit mod the odd d.  Factor-pair
-centers live on the coarser progression 2^(2n+3) lam + 1, searchable for
-n >= 5 over lam in [ceil((sqrt(F_n)-1)/2^(2n+3)), 2^(2^n-(3n+5))).
+mod d, and 2 is a unit mod the odd d.  It runs those n squarings once
+per batch of consecutive members, modulo their product P: every member
+d divides P, so R = 2^(2^n) mod P gives 2^(2^n) mod d as R mod d.
+Factor-pair centers live on the coarser progression 2^(2n+3) lam + 1,
+searchable for n >= 5 over lam in
+[ceil((sqrt(F_n)-1)/2^(2n+3)), 2^(2^n-(3n+5))).
 
 Desk-scale reality check: the center search reproduces the factorization
 of F_5 in a few thousand steps and F_6's small divisor is within reach of
@@ -21,6 +24,7 @@ the s search, but both searches take explicit budgets because anything
 beyond that is hopeless by design, not by accident.
 """
 
+import math
 from typing import NamedTuple
 
 from . import arith
@@ -51,6 +55,12 @@ MAX_INDEX = 30
 #: square screens costs an isqrt of a discriminant as large as F_n, so the
 #: scan is not desk-scale past here even with lam_min in closed form.
 LAMBDA_MAX_INDEX = 20
+
+#: Bit budget of one batch of lucas_divisors: the batch's members, times
+#: the bit length of its largest, stay within it.  The fastest of 256 to
+#: 576 bits at budget 10000 over the indices 6 to 30; a larger product
+#: costs more per squaring than it saves in calls to pow.
+_BATCH_BITS = 384
 
 
 class FermatTarget(NamedTuple):
@@ -148,22 +158,47 @@ def lucas_divisors(t: FermatTarget, s_max: int):
     A member d = 2^(n+2) s + 1 is accepted when 2^(2^n) = -1 (mod d), n
     squarings mod d; this is lucas_check's residue being 0, since that
     residue is 2^(-2(n+2)) (2^(2^n) + 1) mod d (see the module docstring).
-    s_max must be >= 0 and is capped at the divisor cap 2^k - 1 with
-    k = divisor_cap_bits(t), which also refuses an index below 4: a proper
-    factor below the square root always sits under that cap, and members
-    above it mirror cofactors of ones below.
+    The squarings run once per batch of consecutive members, modulo their
+    product P (at most _BATCH_BITS bits, see _batch_end), and d passes
+    when R = 2^(2^n) mod P has R mod d = d - 1; a batch whose P is coprime
+    to R + 1 holds no such d.  Hits come a batch at a time.
+    s_max must be >= 0, checked at the call, and is capped at the divisor
+    cap 2^k - 1 with k = divisor_cap_bits(t), which also refuses an index
+    below 4: a proper factor below the square root always sits under that
+    cap, and members above it mirror cofactors of ones below.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     bits = divisor_cap_bits(t)
     top = s_max if s_max.bit_length() <= bits else (1 << bits) - 1  # min(s_max, cap)
+    return _batched_hits(t, top)
+
+
+def _batch_end(step: int, s: int) -> int:
+    """Last index of the batch that starts at s.  The batch holds k >= 1
+    members, and k times the bit length of its last member is within
+    _BATCH_BITS (the second k is no larger than the first, so its last
+    member is no longer), which bounds their product unless one member
+    alone passes the budget."""
+    k = max(1, _BATCH_BITS // (step * s + 1).bit_length())
+    k = max(1, _BATCH_BITS // (step * (s + k - 1) + 1).bit_length())
+    return s + k - 1
+
+
+def _batched_hits(t: FermatTarget, top: int):
     power = 1 << t.index_n
     step = t.divisor_step
-    return (
-        LucasDivisorCandidate(s=s, divisor=divisor, residue=0)
-        for s, divisor in enumerate(range(step + 1, step * top + 2, step), 1)
-        if pow(2, power, divisor) == divisor - 1
-    )
+    s = 1
+    while s <= top:
+        end = min(_batch_end(step, s), top)
+        batch = range(step * s + 1, step * end + 2, step)
+        product = math.prod(batch)
+        r = pow(2, power, product)
+        if math.gcd(r + 1, product) > 1:
+            for j, divisor in enumerate(batch, s):
+                if r % divisor == divisor - 1:
+                    yield LucasDivisorCandidate(s=j, divisor=divisor, residue=0)
+        s = end + 1
 
 
 def lucas_search(t: FermatTarget, s_max: int) -> list[LucasDivisorCandidate]:

@@ -81,13 +81,18 @@ def test_membership_equivalence_f5():
     for s in range(1, 1001):
         cand = fn.lucas_check(t, s)
         assert (cand.residue == 0) == (t.value % cand.divisor == 0), s
-    # the search's 2^(2^n) = -1 (mod d) accepts exactly the s whose
-    # residue in the paper's form is 0, up to the cap or 3000
-    for n in range(4, 13):
+    # the search's batched 2^(2^n) = -1 (mod d) accepts exactly the s whose
+    # residue in the paper's form is 0, at every index and at budgets on
+    # both sides of the first batch boundary k; past the cap (3 at index 4,
+    # 511 at index 5) the search stops at the cap
+    for n in range(4, fn.MAX_INDEX + 1):
         t = fn.make_fermat(n)
-        top = min((1 << fn.divisor_cap_bits(t)) - 1, 3000)
-        expected = [s for s in range(1, top + 1) if fn.lucas_check(t, s).residue == 0]
-        assert [h.s for h in fn.lucas_divisors(t, top)] == expected, n
+        cap = (1 << fn.divisor_cap_bits(t)) - 1
+        k = fn._batch_end(t.divisor_step, 1)
+        checked = [s for s in range(1, min(cap, 10000) + 1) if fn.lucas_check(t, s).residue == 0]
+        for budget in (0, 1, k - 1, k, k + 1, 2 * k + 1, 10000):
+            expected = [s for s in checked if s <= budget]
+            assert [h.s for h in fn.lucas_divisors(t, budget)] == expected, (n, budget)
 
 
 def test_lucas_search_examples():
@@ -130,6 +135,11 @@ def test_lucas_divisors_is_lazy():
     # the first divisor of F_6 arrives without testing the rest of the budget
     hits = fn.lucas_divisors(fn.make_fermat(6), 10**9)
     assert next(hits).s == 1071
+
+
+def test_lucas_divisors_takes_a_budget_past_sys_maxsize():
+    # the member range of 2^70 indices has no len(); batches never take it
+    assert next(fn.lucas_divisors(fn.make_fermat(9), 2**70)).s == 1184
 
 
 def test_lucas_search_never_builds_F_n(monkeypatch):
