@@ -349,9 +349,9 @@ def is_prime(x: int) -> bool:
 #: Largest prime bound the toolkit takes: primes_up_to refuses a larger
 #: bound before it builds its sieve, a byte per integer, so the sieve stays
 #: within 1 MiB; the CLI refuses a larger --prime-bound or --prime first,
-#: and audit.verify_violation a record whose modulus is larger.  It does
-#: not cap the mask building of the audit's E4/O4, which grows with the sum
-#: of the primes up to it.
+#: and audit.verify_violation a record whose modulus is larger.  At the
+#: cap the audit judges each E4/O4 instance with one modular power per
+#: prime, about 82,000 per pair.
 PRIME_BOUND_MAX = 1 << 20
 
 

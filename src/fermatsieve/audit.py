@@ -137,21 +137,10 @@ def l1_witness(t: quadform.QuadTarget) -> int | None:
     return None
 
 
-@lru_cache(maxsize=4096)
-def _admissible_mask(p: int, k: int) -> bytes:
-    """An immutable copy of the marks admissible_residues_parametric returns
-    for the odd prime p and generator k: byte r is 1 when u = r (mod p) is
-    admissible.  They depend on n only through N mod p and the parity of
-    n, which n mod 2p fixes and n -> 2p - n keeps: so every n shares the
-    entry of k = min(n mod 2p, 2p - n mod 2p), 2p in place of 0, one per
-    (N mod p, parity)."""
-    return bytes(quadform.admissible_residues_parametric(quadform.make_target(k), p))
-
-
 class _Generator:
     """Generator target n with what its claims share, each worked out at
-    most once: the oracle's factor pairs, the interval scan's witness, the
-    paper's u interval and the E4/O4 masks."""
+    most once: the oracle's factor pairs, the interval scan's witness and
+    the paper's u interval."""
 
     index_name = "u"  # how a congruence claim's detail names the index
 
@@ -159,7 +148,6 @@ class _Generator:
         self.t = quadform.make_target(n)
         self.n, self.N = n, self.t.N
         self.family = self.t.parity
-        self._masks = None, []  # (moduli, the mask of each) last looked up
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -172,15 +160,6 @@ class _Generator:
     @cached_property
     def span(self) -> range:
         return quadform.u_range(self.t)
-
-    def masks(self, moduli) -> list[bytes]:
-        """The _admissible_mask entry of each odd prime in moduli, in order;
-        looked up again only for another list, so once per target for the
-        list the audit passes with each of its pairs."""
-        if self._masks[0] is not moduli:
-            keys = [(p, self.n % (2 * p)) for p in moduli]
-            self._masks = moduli, [_admissible_mask(p, min(k, 2 * p - k) or 2 * p) for p, k in keys]
-        return self._masks[1]
 
     def target_record(self) -> tuple[tuple[int, int], int]:
         """(pair, u) that a per-target violation records: the oracle's first
@@ -233,7 +212,13 @@ def _4u1_zero_mod_p(x, u, moduli):
 
 
 def _not_admissible(x, u, moduli):
-    failing = [p for p, mask in zip(moduli, x.masks(moduli)) if not mask[u % p]]
+    # u mod p is in {(y^-1 N + y - 2*offset)/16 : y in Z_p*} exactly when
+    # y^2 - c*y + N = 0 (mod p) has a root, c = 16u + 2*offset; p does not
+    # divide N, so no root is 0, and p is odd, so a root exists exactly when
+    # c^2 - 4N is a square or 0 mod p: Euler's criterion gives 0 or 1
+    c = 16 * u + 2 * x.t.offset
+    d = c * c - 4 * x.N
+    failing = [p for p in moduli if pow(d % p, (p - 1) // 2, p) > 1]
     return [(p, f"u mod {p} = {u % p} not in the admissible residue set") for p in failing]
 
 
@@ -542,7 +527,7 @@ def verify_violation(claim: ClaimId, v: Violation) -> bool:
     instance, called with the one modulus (v.modulus,); a violation that
     does not reproduce means the ledger itself is corrupt.  A modulus past
     arith.PRIME_BOUND_MAX, the cap on the audit's own prime bound, gives
-    False before anything is built: an E4/O4 mask costs a byte per residue.
+    False before anything is built: no audit checks a claim at it.
     A record of the wrong shape (no pair of ints, a modulus that is no int)
     gives False too: the replay never raises.
     """

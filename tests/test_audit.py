@@ -482,19 +482,15 @@ def test_ledger_bytes_pinned_to_2000():
     assert _ledger_sha256(2000) == LEDGER_2000_SHA256
 
 
-def test_admissible_masks_match_the_parametric_sets():
-    # through E4/O4's own predicate, so the n mod 2p mask key is what is tested
-    audit._admissible_mask.cache_clear()
-    for n in range(1, 401):
+def test_admissible_predicate_matches_the_parametric_sets():
+    # E4/O4's own predicate against the sweep, both parities
+    cases = [(n, p) for n in range(1, 401) for p in arith.primes_up_to(97)[1:]]
+    cases += [(n, p) for n in (4, 9, 1500, 1501) for p in (101, 1009, 65537)]
+    for n, p in cases:
         x = audit._Generator(n)
-        for p in arith.primes_up_to(97)[1:]:
-            if x.N % p:
-                admitted = {u for u in range(p) if not audit._not_admissible(x, u, (p,))}
-                assert admitted == marked(quadform.admissible_residues_parametric(x.t, p)), (n, p)
-
-
-def test_admissible_mask_cache_is_bounded():
-    assert audit._admissible_mask.cache_info().maxsize == 4096
+        if x.N % p:
+            admitted = {u for u in range(p) if not audit._not_admissible(x, u, (p,))}
+            assert admitted == marked(quadform.admissible_residues_parametric(x.t, p)), (n, p)
 
 
 @pytest.mark.parametrize(
@@ -502,15 +498,24 @@ def test_admissible_mask_cache_is_bounded():
     [(ClaimId.E4, (4, 65, (5, 13), 1)), (ClaimId.O4, (11, 485, (5, 97), 6))],
 )
 def test_replay_refuses_a_modulus_past_the_prime_bound_cap(claim, record):
-    # the first prime past the cap: a mask for it would cost about 1 MiB and
-    # a second of sweeping, and would stay in the cache
+    # the first prime past the cap, which no audit checks a claim at
     p = 1048583
     assert arith.is_prime(p) and p > arith.PRIME_BOUND_MAX
-    before = audit._admissible_mask.cache_info().currsize
     start = time.perf_counter()
     assert audit.verify_violation(claim, Violation(*record, p, "")) is False
     assert time.perf_counter() - start < 0.1
-    assert audit._admissible_mask.cache_info().currsize == before
+
+
+def test_admissible_claims_at_the_prime_bound_cap_are_bounded():
+    claims = {ClaimId.E4, ClaimId.O4}
+    tally = lambda reports: [(r.claim, r.instances_tested, len(r.violations)) for r in reports]
+    assert tally(audit.audit_claims(1500, 1503, claims, 20000)) == [
+        (ClaimId.E4, 4520, 0), (ClaimId.O4, 9037, 0)
+    ]
+    start = time.perf_counter()
+    reports = audit.audit_claims(1500, 1503, claims, arith.PRIME_BOUND_MAX)
+    assert time.perf_counter() - start < 10
+    assert tally(reports) == [(ClaimId.E4, 164044, 0), (ClaimId.O4, 328085, 0)]
 
 
 def test_prime_bounds_past_the_cap_are_refused_before_any_sieve():
