@@ -294,19 +294,12 @@ _SMALL_PRIMES = (
 
 #: is_prime is exact below this bound, psi_13 (OEIS A014233), the smallest
 #: strong pseudoprime to the 13 prime bases 2 to 41 (Sorenson and Webster,
-#: Math. Comp. 86, 2017): below 2^64 it takes the well-known seven bases of
-#: _U64_WITNESSES, from 2^64 those 13 primes, and from here on it draws
-#: _SPRP_ROUNDS bases at random.
+#: Math. Comp. 86, 2017), and refuses every x from here on, where no
+#: answer it could give would be exact.
 PRIME_TEST_EXACT_BELOW = 3317044064679887385961981
-
-_U64_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_SPRP_ROUNDS = 24
 
 
 def _is_strong_probable_prime(x: int, base: int, d: int, s: int) -> bool:
-    base %= x
-    if base < 2:
-        return True
     v = pow(base, d, x)
     if v == 1 or v == x - 1:
         return True
@@ -318,13 +311,16 @@ def _is_strong_probable_prime(x: int, base: int, d: int, s: int) -> bool:
 
 
 def is_prime(x: int) -> bool:
-    """Primality test: exact for x < PRIME_TEST_EXACT_BELOW,
-    strong-probable-prime above.
+    """Exact primality test for x < PRIME_TEST_EXACT_BELOW; ValueError
+    for a larger x.
 
-    Above that bound the witness bases are drawn from random.Random(x),
-    i.e. the schedule is a fixed function of the input, so repeated runs
-    always return the same answer.
+    Trial division by the primes to 97, then the strong probable prime
+    test to the 13 prime bases 2 to 41, which no composite below psi_13
+    passes.  Past the division x >= 97^2 exceeds every base, so no base
+    needs reducing mod x.
     """
+    if x >= PRIME_TEST_EXACT_BELOW:
+        raise ValueError(f"no exact prime test for {x} >= psi_13 = {PRIME_TEST_EXACT_BELOW}")
     if x < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -337,13 +333,7 @@ def is_prime(x: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = _U64_WITNESSES if x < 1 << 64 else _SMALL_PRIMES[:13]  # the primes 2 to 41
-    if x >= PRIME_TEST_EXACT_BELOW:
-        import random  # only this branch draws witnesses
-
-        rng = random.Random(x)
-        witnesses = tuple(rng.randrange(2, x - 1) for _ in range(_SPRP_ROUNDS))
-    return all(_is_strong_probable_prime(x, a, d, s) for a in witnesses)
+    return all(_is_strong_probable_prime(x, a, d, s) for a in _SMALL_PRIMES[:13])  # 2 to 41
 
 
 #: Largest prime bound the toolkit takes: primes_up_to refuses a larger

@@ -464,10 +464,9 @@ def _fermat_divisor(idx: int):
     The outcome is a fixed function of idx, so it is kept for the whole
     process: the search runs once per index.
     """
+    if idx < 4:  # F_0 to F_3 are prime
+        return None, f"F_{idx}: prime; divisor-form machinery needs index >= 4"
     t = fermat_numbers.make_fermat(idx)
-    if idx < 4:
-        status = "prime" if arith.is_prime(t.value) else "composite"
-        return None, f"F_{idx}: {status}; divisor-form machinery needs index >= 4"
     hit = next(fermat_numbers.lucas_divisors(t, _SEARCH_BUDGET), None)
     if hit is not None:
         return hit.divisor, None
@@ -485,16 +484,16 @@ def audit_fermat(indices, prime_bound: int = 97, claims=None) -> list[ClaimRepor
     by the divisor-form search, not hardcoded; the search runs once per
     index per process, and nothing else is kept between calls.  Indices
     whose factorization is out of reach within _SEARCH_BUDGET divisor-form
-    members are skipped with a notice in the range description, and
-    indices below the machinery's preconditions are probed and labeled
-    rather than audited.  Every target is built by
-    fermat_numbers.make_fermat before any search, so an index it refuses
-    raises its ValueError first; F_n itself is built one index at a time,
-    as the audit reaches it.
+    members are skipped with a notice in the range description, and so
+    are F_0 to F_4, which are prime: the divisor-form machinery needs
+    index >= 4, and at index 4 its search finds no divisor.  Every target
+    is built by fermat_numbers.make_fermat before any search, so an index
+    it refuses raises its ValueError first; F_n itself is built one index
+    at a time, as the audit reaches it.
     """
     indices = sorted(set(indices))
     targets = [fermat_numbers.make_fermat(idx) for idx in indices]
-    # range_tested: the range, then a note per index skipped or probed
+    # range_tested: the range, then a note per index skipped
     notes = [f"F indices {indices}; primes <= {prime_bound}"]
 
     def audited():
@@ -504,11 +503,6 @@ def audit_fermat(indices, prime_bound: int = 97, claims=None) -> list[ClaimRepor
             if a is None:
                 notes.append(note)
                 continue
-            if idx < 5:
-                notes.append(
-                    f"F_{idx}: composite; out-of-precondition probe "
-                    "(center-index interval needs index >= 5)"
-                )
             F = t.value
             yield _Fermat(t, F, (a, F // a))
 

@@ -91,11 +91,13 @@ def run_bench(targets, strategies=None, repetitions: int = 5) -> list[BenchRow]:
 
     strategies holds Strategy members or their names, None for all of
     them.  Every argument is checked before anything is timed: an unknown
-    strategy, repetitions < 1, a generator n < 1 and a prime target raise
-    ValueError up front.  PlainFermat fails when the split lies past its
-    _PLAIN_FERMAT_BUDGET centers, reporting that budget as its count; a
-    failed row has found=False and no pair.  TrialDivision, QuadInterval
-    and QuadIntervalQRFiltered always succeed on a composite target.
+    strategy, repetitions < 1, a generator n < 1, a prime target and a
+    target N >= arith.PRIME_TEST_EXACT_BELOW, which arith.is_prime
+    refuses, raise ValueError up front.  PlainFermat fails when the split
+    lies past its _PLAIN_FERMAT_BUDGET centers, reporting that budget as
+    its count; a failed row has found=False and no pair.  TrialDivision,
+    QuadInterval and QuadIntervalQRFiltered always succeed on a composite
+    target.
     """
     try:
         chosen = list(Strategy) if strategies is None else [Strategy(s) for s in strategies]

@@ -213,10 +213,9 @@ def cmd_factor(args) -> int:
             "division up to N^(1/3) and Lehman's method found no factor)"
         )
     elif verdict == "prime":
-        bound = "2^64" if t.N < 1 << 64 else f"psi_13 = {arith.PRIME_TEST_EXACT_BELOW}"
-        test = "seven-base" if t.N < 1 << 64 else "13-base (the prime bases 2 to 41)"
         lines.append(
-            f"{t.N} is prime (N < {bound}, where the {test} strong probable prime test is exact)"
+            f"{t.N} is prime (N < psi_13 = {arith.PRIME_TEST_EXACT_BELOW}, where the 13-base "
+            "(the prime bases 2 to 41) strong probable prime test is exact)"
         )
     elif verdict == "unknown":
         lines.append(
@@ -409,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit a JSON envelope")
     p.set_defaults(func=cmd_factor)
 
-    p = sub.add_parser("factor-generic", help="plain difference-of-squares factoring")
+    p = sub.add_parser("factor-generic", help="plain Fermat factoring; exact prime test below psi_13")
     p.add_argument("--N", type=int, required=True, help="odd N >= 9")
     p.add_argument("--budget", type=int, default=None, help="max centers to examine")
     p.add_argument("--json", action="store_true")

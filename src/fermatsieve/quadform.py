@@ -307,8 +307,9 @@ def factor_pairs(t: QuadTarget, want_all: bool = False) -> list[FactorPair]:
     Every prime factor of N is 1 mod 4, so N is divided by a = 5, 9, 13, ...
     while a^3 <= N, each factor found removed in full, until the cofactor
     is 1 or a prime below arith.PRIME_TEST_EXACT_BELOW, where
-    arith.is_prime is exact; N itself is tested first, so a prime N below
-    that bound takes no division.  Past the division every prime factor of
+    arith.is_prime is exact (it refuses any larger c, so _decided never
+    asks it there); N itself is tested first, so a prime N below that
+    bound takes no division.  Past the division every prime factor of
     the cofactor c exceeds N^(1/3) >= c^(1/3), so _lehman_split either
     splits it into its two primes or proves it prime: the answer is exact
     for every N, and no scan runs.  N's prime factors then give every pair

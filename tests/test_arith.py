@@ -1,6 +1,7 @@
 """Unit and property tests for the integer helpers."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -534,13 +535,6 @@ def test_is_prime_agrees_with_sieve_to_1e6():
         assert arith.is_prime(x) == bool(flags[x]), x
 
 
-def test_is_prime_above_64_bits_is_deterministic():
-    m127 = (1 << 127) - 1  # Mersenne prime
-    assert arith.is_prime(m127)
-    assert arith.is_prime(m127)  # same witness schedule both times
-    assert not arith.is_prime(m127 * ((1 << 89) - 1))
-
-
 #: The smallest strong pseudoprimes to the first 12 and 13 prime bases
 #: (OEIS A014233), as products of their two prime factors.
 PSI_12 = 399165290221 * 798330580441
@@ -559,7 +553,7 @@ def test_prime_test_is_exact_below_psi_13():
     bases = arith.primes_up_to(41)
     assert len(bases) == 13 and arith.PRIME_TEST_EXACT_BELOW == PSI_13
     for p in (399165290221, 798330580441, 1287836182261, 2575672364521):
-        assert arith.is_prime(p)  # each below 2^64, where the seven bases decide
+        assert arith.is_prime(p)  # each below psi_13, where the 13 bases decide
     # psi_12 passes bases 2 to 37 and fails 41; psi_13 passes all 13
     assert [_strong_probable_prime(PSI_12, b) for b in bases] == [True] * 12 + [False]
     assert all(_strong_probable_prime(PSI_13, b) for b in bases)
@@ -567,21 +561,64 @@ def test_prime_test_is_exact_below_psi_13():
     assert not arith.is_prime(PSI_12)
 
 
-def test_is_prime_takes_the_13_bases_from_2_64(monkeypatch):
-    # past 2^64 and below psi_13 no base is drawn at random: a 69-bit prime N
-    # = 4n^2 + 1 and 2917 * a 65-bit prime are decided by the 13 bases alone
-    def no_draw(*args):
-        raise AssertionError("a random base was drawn")
+#: psi_1 to psi_12 (OEIS A014233): psi_k is the smallest strong
+#: pseudoprime to the first k prime bases.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+)
 
-    import random
 
-    monkeypatch.setattr(random, "Random", no_draw)
+def test_is_prime_rejects_psi_1_to_psi_12():
+    bases = arith.primes_up_to(41)
+    for k, psi in enumerate(PSI, start=1):
+        assert all(_strong_probable_prime(psi, b) for b in bases[:k]), k
+        assert not arith.is_prime(psi), k
+    assert PSI[-1] == PSI_12
+
+
+def test_is_prime_takes_the_13_bases_from_2_64():
+    # past 2^64 and below psi_13 the 13 bases decide a 69-bit prime N =
+    # 4n^2 + 1 and 2917 * a 65-bit prime exactly; psi_13 itself is refused
     assert arith.is_prime(4 * 10000000002**2 + 1)
     assert arith.is_prime(20900347964557399981)
     assert not arith.is_prime(2917 * 20900347964557399981)
     assert not arith.is_prime(PSI_12)
-    with pytest.raises(AssertionError, match="drawn"):
+    with pytest.raises(ValueError, match="psi_13"):
         arith.is_prime(PSI_13)
+
+
+def test_is_prime_refuses_from_psi_13_on():
+    # no answer at or past psi_13 would be exact: a prime, a composite with
+    # a small factor and an even number are refused alike
+    for x in (PSI_13, PSI_13 + 1, PSI_13 + 2, (1 << 127) - 1, 3 * ((1 << 127) - 1)):
+        with pytest.raises(ValueError, match="no exact prime test"):
+            arith.is_prime(x)
+    assert not arith.is_prime(PSI_13 - 1)  # the largest x it answers
+
+
+def _is_prime_by_seven_bases(x):
+    """Sinclair's seven bases, exact for odd x < 2^64 past trial division."""
+    return all(
+        b % x == 0 or _strong_probable_prime(x, b % x)
+        for b in (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+    )
+
+
+def test_13_bases_agree_with_the_seven_below_2_64():
+    # odd x of 14 to 64 bits, uniform in the bit length, past trial division
+    rng = random.Random(20170313)
+    small = arith.primes_up_to(97)
+    primes = 0
+    for _ in range(20000):
+        bits = rng.randrange(14, 65)
+        x = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if any(x % p == 0 for p in small):
+            continue
+        assert arith.is_prime(x) == _is_prime_by_seven_bases(x), x
+        primes += arith.is_prime(x)
+    assert primes > 1000
 
 
 def test_primes_up_to_examples():

@@ -121,6 +121,17 @@ def test_rejects_prime_target():
         bench.run_bench([5], None, repetitions=1)  # N = 101 is prime
 
 
+def test_rejects_a_target_past_the_exact_prime_test(monkeypatch):
+    # n = 910637697534 is the first n with N >= psi_13: whether N is prime
+    # is not decided there, so the target is refused before any timing
+    def measure(*args):
+        raise AssertionError("a strategy was timed")
+
+    monkeypatch.setattr(bench, "_measure", measure)
+    with pytest.raises(ValueError, match="psi_13"):
+        bench.run_bench([4, 910637697534], None, repetitions=1)
+
+
 def test_rejects_bad_repetitions():
     with pytest.raises(ValueError):
         bench.run_bench([4], None, repetitions=0)

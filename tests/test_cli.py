@@ -35,7 +35,8 @@ def test_factor_prime_exit_1(capsys):
     rc, out, _ = run(capsys, "factor", "--n", "5")
     assert rc == 1
     assert out.endswith(
-        "101 is prime (N < 2^64, where the seven-base strong probable prime test is exact)\n"
+        "101 is prime (N < psi_13 = 3317044064679887385961981, where the 13-base "
+        "(the prime bases 2 to 41) strong probable prime test is exact)\n"
     )
 
 
@@ -46,8 +47,9 @@ def test_factor_prime_exit_1(capsys):
         (
             "factor --n 5",
             1,
-            "N = 101 = 4*5^2 + 1 (odd generator)\n101 is prime (N < 2^64, where the "
-            "seven-base strong probable prime test is exact)\n",
+            "N = 101 = 4*5^2 + 1 (odd generator)\n101 is prime (N < psi_13 = "
+            "3317044064679887385961981, where the 13-base (the prime bases 2 to 41) "
+            "strong probable prime test is exact)\n",
         ),
         (
             "factor --n 9 --all",
@@ -197,7 +199,8 @@ def test_envelope_writer_rejects_what_no_command_returns():
 
 def test_factor_heuristic_filters_not_a_verdict(capsys):
     # n=30: heuristic filters lose the only witness; must not claim prime
-    # (13 <= B = 15, so the trial division of the sound search would find it)
+    # (N = 3601 = 13 * 277, and 13 <= icbrt(3601) = 15, so the sound
+    # search's division finds it)
     rc, out, _ = run(capsys, "factor", "--n", "30", "--heuristic-filters")
     assert rc == 1
     assert "not a primality verdict" in out
@@ -282,7 +285,7 @@ def test_factor_small_factor_of_large_target_is_fast(capsys):
 
 def test_factor_large_prime_verdict_is_fast(capsys):
     N = 4 * 1000012**2 + 1
-    assert arith.is_prime(N)  # exact below 2^64
+    assert arith.is_prime(N)  # exact below psi_13
     start = time.perf_counter()
     rc, out, _ = run(capsys, "factor", "--n", "1000012", "--json")
     elapsed = time.perf_counter() - start
@@ -312,11 +315,12 @@ def test_factor_divides_out_a_small_factor_without_the_scan(no_scan, capsys):
 
 
 def test_factor_prime_below_2_64_without_the_scan(no_scan, capsys):
+    # one prime line below psi_13, 2^64 or not: the 13 bases decide N
     rc, out, _ = run(capsys, "factor", "--n", "10000013")
     assert rc == 1
     assert out.endswith(
-        "400001040000677 is prime (N < 2^64, where the seven-base strong probable prime "
-        "test is exact)\n"
+        "400001040000677 is prime (N < psi_13 = 3317044064679887385961981, where the "
+        "13-base (the prime bases 2 to 41) strong probable prime test is exact)\n"
     )
 
 
@@ -425,6 +429,12 @@ def test_factor_generic_json(capsys):
 def test_factor_generic_prime_and_budget(capsys):
     rc, out, _ = run(capsys, "factor-generic", "--N", "101")
     assert rc == 1 and "prime" in out
+    # a prime is certified by the exact test, not a walk to (N + 9) / 6
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "factor-generic", "--N", "100000000003")
+    elapsed = time.perf_counter() - start
+    assert (rc, out) == (1, "100000000003: prime\n")
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
     rc, out, _ = run(capsys, "factor-generic", "--N", "99993", "--budget", "10")
     assert rc == 1 and "budget-exhausted" in out
 

@@ -1,5 +1,7 @@
 """Tests for the plain difference-of-squares baseline."""
 
+import time
+
 import pytest
 
 from fermatsieve import arith, fermat_generic
@@ -31,6 +33,27 @@ def test_prime_verdicts():
         assert fermat_generic.fermat_factor(p) is Verdict.PRIME
 
 
+def test_prime_verdict_takes_no_walk():
+    # the walk to (N + 9) / 6 would examine about 1.7e10 centers; the exact
+    # prime test answers first, whatever the budget
+    for budget in (None, 0):
+        start = time.perf_counter()
+        out = fermat_generic.fermat_factor(100000000003, step_budget=budget)
+        elapsed = time.perf_counter() - start
+        assert out is Verdict.PRIME, budget
+        assert elapsed < 0.1, f"took {elapsed:.2f} s"
+
+
+def test_walk_proves_a_prime_past_the_exact_test(monkeypatch):
+    # with the exact test moved below every N, as past psi_13, a prime
+    # verdict is the exhausted walk's, and a budget short of it gives up
+    monkeypatch.setattr(arith, "PRIME_TEST_EXACT_BELOW", 9)
+    for p in (11, 13, 101, 9973):
+        assert fermat_generic.fermat_factor(p) is Verdict.PRIME
+    assert fermat_generic.fermat_factor(9973, step_budget=10) is Verdict.BUDGET_EXHAUSTED
+    assert fermat_generic.fermat_factor(9797).a == 97
+
+
 def test_budget():
     # 99993 = 3 * 33331 needs the scan to walk from 317 to 16667
     n = 99993
@@ -40,6 +63,8 @@ def test_budget():
     # a budget larger than the full scan still yields the prime verdict
     assert fermat_generic.fermat_factor(9973, step_budget=10**9) is Verdict.PRIME
     assert fermat_generic.fermat_factor(n, step_budget=0) is Verdict.BUDGET_EXHAUSTED
+    # a prime is certified before the walk, so no budget exhausts it
+    assert fermat_generic.fermat_factor(9973, step_budget=0) is Verdict.PRIME
     with pytest.raises(ValueError):
         fermat_generic.fermat_factor(n, step_budget=-3)
 

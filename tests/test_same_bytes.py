@@ -11,7 +11,12 @@ _spec.loader.exec_module(same_bytes)
 
 #: The digest of each corpus command, computed at the commit before the
 #: E4/O4 audit stopped building admissible-residue masks.  An intended
-#: output change updates the pin and records the old and new digests.
+#: output change updates the pin and records the old and new digests:
+#: "factor --n 5" moved when every prime line below psi_13 came to name
+#: the 13-base test.  "factor-generic --N 100000000003" has the digest it
+#: had when its prime verdict took a walk of about 1.7e10 centers, and
+#: "bench --targets 910637697534" pins the refusal of the first N past
+#: psi_13.
 PINNED = {
     "audit --range 1:400 --claims all --prime-bound 97 --json {out}":
         "46d4804ef89738b53364f07c1349f0370c71c42ebe2cc0eb09edf1752a68f5ea",
@@ -28,7 +33,7 @@ PINNED = {
     "factor --n 4 --json":
         "efaa3cf52e50dbaaeac37913ba2e61a6a35c95473cf727f5c7455e131ac1cf6e",
     "factor --n 5":
-        "d2f594f87c96884c1807f4f784123bdd61022f50c66b89dd1fe49b8086b1f0bd",
+        "9bfc488060a1ee9c80758cae2d0dbf44642e85987a1303ba9d27bf44d8a986b8",
     "factor --n 5 --json":
         "321f8e4cb11249b0df5be16ba2ebb35e8447636464796d85cbee2f12df894516",
     "factor --n 3001 --all":
@@ -55,6 +60,8 @@ PINNED = {
         "baeb9ed36fc6e328ac4beb4bea751bdbea25cdd3eecb1253bd1c83210b09e4e3",
     "factor-generic --N 8":
         "f5eeea41197ab5dbf110f72309d7073c4afd311915907be0df712044e15b89eb",
+    "factor-generic --N 100000000003":
+        "d6f8e285b3aef66cc40e88d87e1c8c9230d3df5445e7fafb398f77640de4ebfc",
     "fermat --index 5 --mode lucas":
         "333162da5421d918f7b3178c06b6e85564295e259bd6a92827518d5934865f66",
     "fermat --index 12 --mode lucas --budget 1588 --json":
@@ -83,6 +90,8 @@ PINNED = {
         "23a56d5e7731fafb443d44787af68fb7d321f2fb7324c5cd7eeedc4e64510934",
     "bench --targets 4,5 --repetitions 1":
         "4007d2048233a62704bde640e4feb90c5e5e5b1ff20ca534a541519d95418316",
+    "bench --targets 910637697534 --repetitions 1":
+        "76cc09c9ecf21ef23a4188b0d2abad8adb871a09ed765d46ca006d9212da8663",
 }
 
 

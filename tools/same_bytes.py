@@ -47,6 +47,7 @@ CORPUS = (
     "factor-generic --N 10403 --budget 0 --json",
     "factor-generic --N 101",
     "factor-generic --N 8",
+    "factor-generic --N 100000000003",
     "fermat --index 5 --mode lucas",
     "fermat --index 12 --mode lucas --budget 1588 --json",
     "fermat --index 5 --mode lambda --filters on",
@@ -61,6 +62,7 @@ CORPUS = (
     "bench --targets 4,9,16,30,56 --strategies all --repetitions 1 --csv {out}",
     "bench --targets 1500 --strategies QuadInterval,QuadIntervalQRFiltered --repetitions 1",
     "bench --targets 4,5 --repetitions 1",
+    "bench --targets 910637697534 --repetitions 1",
 )
 
 _ELAPSED_TEXT = re.compile(r"elapsed_ns=\d+")
